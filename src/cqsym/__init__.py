@@ -15,8 +15,7 @@ from .combinat import (
     is_peak_composition, descent_composition, color_runs, peak_set,
     peak_composition, standardize, rep_chain, conjugate, shuffles,
     enumerate_compositions, peak_compositions, count_peak_compositions,
-    enumerate_permutations, ribbon_cells, ribbon_decode,
-    conjugate_via_diagram, ribbon_text,
+    ribbon_cells, ribbon_decode, conjugate_via_diagram, ribbon_text,
 )
 from .poset import (
     Poset, PElt, make_poset, empty_poset, chain_poset, antichain_poset,

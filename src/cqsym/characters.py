@@ -7,6 +7,7 @@ touch the underlying algebra only through a small Domain handle, so the
 machinery is shared between the two sides.
 """
 
+from functools import cache
 from itertools import product
 
 from . import combinat as cb
@@ -32,48 +33,22 @@ class Domain:
         return "Domain(%s)" % self.name
 
 
-def _deconcats(alpha):
-    return tuple((alpha[:i], alpha[i:]) for i in range(len(alpha) + 1))
-
-
-def _m_antipode_key(alpha):
-    # closed form on the monomial basis: sign by length, reversed coarsenings
-    sign = -1 if len(alpha) % 2 else 1
-    out = {}
-    for beta in cb.coarsenings(alpha):
-        iadd(out, cb.reverse(beta), sign)
-    return out
-
-
-_domains = {}
-
-
+@cache
 def poset_domain(m):
-    try:
-        return _domains["poset", m]
-    except KeyError:
-        pass
-    dom = Domain(m, "poset[m=%d]" % m,
-                 degree=lambda P: P.n,
-                 splits=lambda P: P.splits(),
-                 antipode=ps.antipode_key,
-                 to_terms=lambda e: e.terms)
-    _domains["poset", m] = dom
-    return dom
+    return Domain(m, "poset[m=%d]" % m,
+                  degree=lambda P: P.n,
+                  splits=lambda P: P.splits(),
+                  antipode=ps.antipode_key,
+                  to_terms=lambda e: e.terms)
 
 
+@cache
 def qsym_domain(m):
-    try:
-        return _domains["qsym", m]
-    except KeyError:
-        pass
-    dom = Domain(m, "qsym[m=%d]" % m,
-                 degree=cb.weight,
-                 splits=_deconcats,
-                 antipode=_m_antipode_key,
-                 to_terms=lambda e: qs.to_monomial(e).terms)
-    _domains["qsym", m] = dom
-    return dom
+    return Domain(m, "qsym[m=%d]" % m,
+                  degree=cb.weight,
+                  splits=qs.deconcats,
+                  antipode=qs.antipode_m_key,
+                  to_terms=lambda e: qs.to_monomial(e).terms)
 
 
 class Character:
@@ -108,15 +83,10 @@ class Character:
         return "Character(%s on %s)" % (self.name, self.domain.name)
 
 
+@cache
 def counit_character(domain):
-    try:
-        return _builtins["counit", domain.name]
-    except KeyError:
-        pass
-    phi = Character(domain, lambda key: 1 if domain.degree(key) == 0 else 0,
-                    "counit")
-    _builtins["counit", domain.name] = phi
-    return phi
+    return Character(domain, lambda key: 1 if domain.degree(key) == 0 else 0,
+                     "counit")
 
 
 def convolve(phi, psi, name=None):
@@ -170,43 +140,30 @@ def nu_pair(phi, psi, name=None):
     return convolve(inverse(phi), psi, name=name)
 
 
-_builtins = {}
-
-
+@cache
 def zeta_qsym(m, j):
     """One on the empty composition and on single parts of color j."""
     assert 0 <= j < m
-    try:
-        return _builtins["zetaQ", m, j]
-    except KeyError:
-        pass
 
     def fn(alpha):
         if not alpha:
             return 1
         return 1 if len(alpha) == 1 and alpha[0][1] == j else 0
 
-    phi = Character(qsym_domain(m), fn, "zetaQ:%d" % j)
-    _builtins["zetaQ", m, j] = phi
-    return phi
+    return Character(qsym_domain(m), fn, "zetaQ:%d" % j)
 
 
+@cache
 def zeta_poset(m, j):
     """One on naturally labeled posets whose colors are all j."""
     assert 0 <= j < m
-    try:
-        return _builtins["zetaP", m, j]
-    except KeyError:
-        pass
 
     def fn(P):
         if ps.is_monochromatic(P, j) and ps.is_naturally_labeled(P):
             return 1
         return 0
 
-    phi = Character(poset_domain(m), fn, "zetaP:%d" % j)
-    _builtins["zetaP", m, j] = phi
-    return phi
+    return Character(poset_domain(m), fn, "zetaP:%d" % j)
 
 
 def _convolve_all(parts, name):
@@ -217,66 +174,36 @@ def _convolve_all(parts, name):
     return phi
 
 
+@cache
 def zeta_qsym_all(m):
     """Convolution of the color-j zetas in increasing color order."""
-    try:
-        return _builtins["zetaQ", m]
-    except KeyError:
-        pass
-    phi = _convolve_all([zeta_qsym(m, j) for j in range(m)], "zetaQ")
-    _builtins["zetaQ", m] = phi
-    return phi
+    return _convolve_all([zeta_qsym(m, j) for j in range(m)], "zetaQ")
 
 
+@cache
 def zeta_poset_all(m):
-    try:
-        return _builtins["zetaP", m]
-    except KeyError:
-        pass
-    phi = _convolve_all([zeta_poset(m, j) for j in range(m)], "zetaP")
-    _builtins["zetaP", m] = phi
-    return phi
+    return _convolve_all([zeta_poset(m, j) for j in range(m)], "zetaP")
 
 
+@cache
 def nu_qsym(m, j):
-    try:
-        return _builtins["nuQ", m, j]
-    except KeyError:
-        pass
-    phi = nu(zeta_qsym(m, j), name="nuQ:%d" % j)
-    _builtins["nuQ", m, j] = phi
-    return phi
+    return nu(zeta_qsym(m, j), name="nuQ:%d" % j)
 
 
+@cache
 def nu_poset(m, j):
-    try:
-        return _builtins["nuP", m, j]
-    except KeyError:
-        pass
-    phi = nu(zeta_poset(m, j), name="nuP:%d" % j)
-    _builtins["nuP", m, j] = phi
-    return phi
+    return nu(zeta_poset(m, j), name="nuP:%d" % j)
 
 
+@cache
 def nu_qsym_all(m):
     """Convolution of the single-color odd characters, like the zetas."""
-    try:
-        return _builtins["nuQ", m]
-    except KeyError:
-        pass
-    phi = _convolve_all([nu_qsym(m, j) for j in range(m)], "nuQ")
-    _builtins["nuQ", m] = phi
-    return phi
+    return _convolve_all([nu_qsym(m, j) for j in range(m)], "nuQ")
 
 
+@cache
 def nu_poset_all(m):
-    try:
-        return _builtins["nuP", m]
-    except KeyError:
-        pass
-    phi = _convolve_all([nu_poset(m, j) for j in range(m)], "nuP")
-    _builtins["nuP", m] = phi
-    return phi
+    return _convolve_all([nu_poset(m, j) for j in range(m)], "nuP")
 
 
 _ssplit_memo = {}

@@ -56,10 +56,6 @@ def weight(alpha):
     return sum(size for size, _ in alpha)
 
 
-def length(alpha):
-    return len(alpha)
-
-
 def concat(beta, gamma):
     return tuple(beta) + tuple(gamma)
 
@@ -97,23 +93,6 @@ def refines(fine, coarse):
         if total != size:
             return False
     return i == len(fine)
-
-
-def _splits_of(size):
-    # compositions of size as tuples, via subsets of split points
-    out = []
-    for mask in range(1 << (size - 1)):
-        parts = []
-        run = 1
-        for i in range(size - 1):
-            if mask >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
 
 
 def _block_points(sizes):
@@ -365,16 +344,6 @@ def count_peak_compositions(m, n):
     for _ in range(n - 2):
         prev2, prev = prev, m * prev + prev2
     return prev
-
-
-def enumerate_permutations(m, n):
-    """All colored permutations of 1..n: the wreath product C_m wr S_n."""
-    from itertools import permutations
-    out = []
-    for word in permutations(range(1, n + 1)):
-        for colors in product(range(m), repeat=n):
-            out.append(tuple(zip(word, colors)))
-    return out
 
 
 # --- cycloribbon diagrams -------------------------------------------------

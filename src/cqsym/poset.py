@@ -100,7 +100,8 @@ class Poset:
 
     @property
     def is_canonical(self):
-        return self.canonical is self
+        """True when this labeled poset is its class's representative."""
+        return self.canonical == self
 
     def sort_key(self):
         c = self.canonical

@@ -186,29 +186,29 @@ def to_monomial(e):
     return k_to_m(e)
 
 
+def to_fundamental(e):
+    """F expansion of e; K input goes through its M expansion."""
+    if e.basis == "F":
+        return e
+    return m_to_f(to_monomial(e))
+
+
 # --- product --------------------------------------------------------------
 
 def _shift(pi, offset):
     return tuple((v + offset, c) for v, c in pi)
 
 
-def _mul_f_keys(alpha, beta):
-    """F_alpha * F_beta as an F-basis sparse map, via chain shuffles."""
+def _mul_keys(alpha, beta, stat):
+    """Product of two basis keys via chain shuffles, as a sparse map.
+
+    stat is descent_composition for F and peak_composition for K.
+    """
     sigma = cb.rep_chain(alpha)
     tau = _shift(cb.rep_chain(beta), cb.weight(alpha))
     out = {}
     for pi in cb.shuffles(sigma, tau):
-        iadd(out, cb.descent_composition(pi), 1)
-    return out
-
-
-def _mul_k_keys(alpha, beta):
-    """K_alpha * K_beta as a K-basis sparse map, via chain shuffles."""
-    sigma = cb.rep_chain(alpha)
-    tau = _shift(cb.rep_chain(beta), cb.weight(alpha))
-    out = {}
-    for pi in cb.shuffles(sigma, tau):
-        iadd(out, cb.peak_composition(pi), 1)
+        iadd(out, stat(pi), 1)
     return out
 
 
@@ -221,28 +221,23 @@ def multiply(a, b):
     if a.m != b.m:
         raise ValueError("operands must share the same number of colors")
     if a.basis == "K" and b.basis == "K":
-        out = {}
-        for alpha, ca in a.terms.items():
-            for beta, cb_ in b.terms.items():
-                iadd_scaled(out, _mul_k_keys(alpha, beta), ca * cb_)
-        return QElt(a.m, "K", out)
-
-    def as_f(e):
-        if e.basis == "F":
-            return e
-        if e.basis == "M":
-            return m_to_f(e)
-        return m_to_f(k_to_m(e))
-
-    fa, fb = as_f(a), as_f(b)
+        basis, stat = "K", cb.peak_composition
+    else:
+        a, b = to_fundamental(a), to_fundamental(b)
+        basis, stat = "F", cb.descent_composition
     out = {}
-    for alpha, ca in fa.terms.items():
-        for beta, cb_ in fb.terms.items():
-            iadd_scaled(out, _mul_f_keys(alpha, beta), ca * cb_)
-    return QElt(a.m, "F", out)
+    for alpha, ca in a.terms.items():
+        for beta, cb_ in b.terms.items():
+            iadd_scaled(out, _mul_keys(alpha, beta, stat), ca * cb_)
+    return QElt(a.m, basis, out)
 
 
 # --- coproduct ------------------------------------------------------------
+
+def deconcats(alpha):
+    """Every cut of alpha into a prefix and a suffix, shortest prefix first."""
+    return tuple((alpha[:i], alpha[i:]) for i in range(len(alpha) + 1))
+
 
 def coproduct(e):
     """Sparse map (left key, right key) -> coefficient, in e's basis.
@@ -254,8 +249,8 @@ def coproduct(e):
     out = {}
     if e.basis == "M":
         for alpha, c in e.terms.items():
-            for i in range(len(alpha) + 1):
-                iadd(out, (alpha[:i], alpha[i:]), c)
+            for pair in deconcats(alpha):
+                iadd(out, pair, c)
         return out
     stat = cb.descent_composition if e.basis == "F" else cb.peak_composition
     for alpha, c in e.terms.items():
@@ -283,9 +278,7 @@ def antipode(e):
     out = {}
     if e.basis == "M":
         for alpha, c in e.terms.items():
-            sign = -c if len(alpha) % 2 else c
-            for beta in cb.coarsenings(alpha):
-                iadd(out, cb.reverse(beta), sign)
+            iadd_scaled(out, antipode_m_key(alpha), c)
     elif e.basis == "F":
         for alpha, c in e.terms.items():
             sign = -c if cb.weight(alpha) % 2 else c
@@ -296,6 +289,15 @@ def antipode(e):
             rev = tuple(reversed(cb.rep_chain(alpha)))
             iadd(out, cb.peak_composition(rev), sign)
     return QElt(e.m, e.basis, out)
+
+
+def antipode_m_key(alpha):
+    """S(M_alpha) as a sparse M map: sign by length, reversed coarsenings."""
+    sign = -1 if len(alpha) % 2 else 1
+    out = {}
+    for beta in cb.coarsenings(alpha):
+        iadd(out, cb.reverse(beta), sign)
+    return out
 
 
 _antipode_m_memo = {}
@@ -350,21 +352,28 @@ _gamma_memo = {}
 _lambda_memo = {}
 
 
-def ppartition_gf(P):
-    """The colored P-partition generating function, in the F basis.
+def _extension_gf(P, basis, stat, memo):
+    """Sum of the basis element at stat(pi) over linear extensions pi.
 
-    Sums F at the descent composition of every linear extension; depends
-    only on the equivalence class, so it is memoized on canonical forms.
+    Depends only on the equivalence class, so it is memoized on
+    canonical forms.
     """
     c = P.canonical
-    hit = _gamma_memo.get(c)
+    hit = memo.get(c)
     if hit is None:
         out = {}
         for pi in c.linear_extensions():
-            iadd(out, cb.descent_composition(pi), 1)
-        hit = QElt(c.m, "F", out)
-        _gamma_memo[c] = hit
+            iadd(out, stat(pi), 1)
+        hit = memo[c] = QElt(c.m, basis, out)
     return hit
+
+
+def ppartition_gf(P):
+    """The colored P-partition generating function, in the F basis.
+
+    Sums F at the descent composition of every linear extension.
+    """
+    return _extension_gf(P, "F", cb.descent_composition, _gamma_memo)
 
 
 def enriched_gf(P):
@@ -373,15 +382,7 @@ def enriched_gf(P):
     Sums K at the peak composition of every linear extension; equals
     peak_projection(ppartition_gf(P)).
     """
-    c = P.canonical
-    hit = _lambda_memo.get(c)
-    if hit is None:
-        out = {}
-        for pi in c.linear_extensions():
-            iadd(out, cb.peak_composition(pi), 1)
-        hit = QElt(c.m, "K", out)
-        _lambda_memo[c] = hit
-    return hit
+    return _extension_gf(P, "K", cb.peak_composition, _lambda_memo)
 
 
 # --- exact rank, for the dimension table ----------------------------------

@@ -32,17 +32,6 @@ def iadd_scaled(terms, other, c=1):
         iadd(terms, key, c * v)
 
 
-def scaled(terms, c):
-    """A fresh map c * terms."""
-    if not c:
-        return {}
-    return {key: c * v for key, v in terms.items()}
-
-
-def negated(terms):
-    return {key: -v for key, v in terms.items()}
-
-
 def coeff_to_json(c):
     """ints stay ints; anything else becomes a 'p/q' string."""
     if isinstance(c, int):
@@ -59,6 +48,9 @@ def coeff_from_json(obj):
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        f = Fraction(obj)
+        try:
+            f = Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError("coefficient %r has a zero denominator" % obj)
         return int(f) if f.denominator == 1 else f
     raise ValueError("coefficient must be an integer or 'p/q' string")

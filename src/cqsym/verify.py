@@ -1,0 +1,409 @@
+"""Verification suites behind `cqsym verify`.
+
+Each suite takes (m, max_n, max_N, seed), with None selecting its default
+grid, and returns one report per check: the check's name, whether it
+held, how many cases it covered, and a replayable JSON payload of the
+first counterexample.  A check that covered no cases does not pass.
+"""
+
+import random
+
+from . import characters as ch
+from . import combinat as cb
+from . import oracle as oc
+from . import poset as ps
+from . import qsym as qs
+from .cli import comp_json, poset_json
+from .terms import iadd
+
+
+def _scan(name, items, test, describe):
+    checked = 0
+    for it in items:
+        checked += 1
+        if not test(it):
+            return {"name": name, "ok": False, "checked": checked,
+                    "counterexample": describe(it)}
+    return {"name": name, "ok": checked > 0, "checked": checked,
+            "counterexample": None}
+
+
+def _poset_grid(m, max_n):
+    return [P for n in range(max_n + 1) for P in ps.canonical_posets(m, n)]
+
+
+def _comp_grid(m, max_n):
+    return [a for n in range(max_n + 1)
+            for a in cb.enumerate_compositions(m, n)]
+
+
+def _size_pairs(grid, max_total):
+    bysize = {}
+    for P in grid:
+        bysize.setdefault(P.n, []).append(P)
+    out = []
+    for i, firsts in sorted(bysize.items()):
+        for j, seconds in sorted(bysize.items()):
+            if i + j <= max_total:
+                out.extend((A, B) for A in firsts for B in seconds)
+    return out
+
+
+def _poset_pair_json(pr):
+    return {"first": poset_json(pr[0]), "second": poset_json(pr[1])}
+
+
+def _poset_counit_ok(P):
+    left, right = {}, {}
+    for I, R in P.splits():
+        if I.n == 0:
+            iadd(left, R, 1)
+        if R.n == 0:
+            iadd(right, I, 1)
+    return left == {P: 1} == right
+
+
+def _poset_coassoc_ok(P):
+    lhs, rhs = {}, {}
+    for I, R in P.splits():
+        for I2, R2 in I.splits():
+            iadd(lhs, (I2, R2, R), 1)
+        for I2, R2 in R.splits():
+            iadd(rhs, (I, I2, R2), 1)
+    return lhs == rhs
+
+
+def _poset_bialgebra_ok(pair):
+    A, B = pair
+    lhs = {}
+    for I, R in ps.product_key(A, B).splits():
+        iadd(lhs, (I, R), 1)
+    rhs = {}
+    for I1, R1 in A.splits():
+        for I2, R2 in B.splits():
+            iadd(rhs, (ps.product_key(I1, I2), ps.product_key(R1, R2)), 1)
+    return lhs == rhs
+
+
+def _poset_antipode_ok(P):
+    left, right = {}, {}
+    for I, R in P.splits():
+        for Q, c in ps.antipode_key(I).items():
+            iadd(left, ps.product_key(Q, R), c)
+        for Q, c in ps.antipode_key(R).items():
+            iadd(right, ps.product_key(I, Q), c)
+    want = {P: 1} if P.n == 0 else {}
+    return left == want and right == want
+
+
+def _m_elt(m, alpha):
+    return qs.QElt.basis_elt(m, "M", alpha)
+
+
+def _qsym_counit_ok(key):
+    m, alpha = key
+    left, right = {}, {}
+    for a, b in qs.deconcats(alpha):
+        if not a:
+            iadd(left, b, 1)
+        if not b:
+            iadd(right, a, 1)
+    return left == {alpha: 1} == right
+
+
+def _qsym_coassoc_ok(key):
+    m, alpha = key
+    lhs, rhs = {}, {}
+    for a, b in qs.deconcats(alpha):
+        for a1, a2 in qs.deconcats(a):
+            iadd(lhs, (a1, a2, b), 1)
+        for b1, b2 in qs.deconcats(b):
+            iadd(rhs, (a, b1, b2), 1)
+    return lhs == rhs
+
+
+def _qsym_bialgebra_ok(key):
+    m, alpha, beta = key
+    ea, eb = _m_elt(m, alpha), _m_elt(m, beta)
+    lhs = qs.coproduct(qs.to_monomial(qs.multiply(ea, eb)))
+    rhs = {}
+    for a1, a2 in qs.deconcats(alpha):
+        for b1, b2 in qs.deconcats(beta):
+            p1 = qs.to_monomial(qs.multiply(_m_elt(m, a1), _m_elt(m, b1)))
+            p2 = qs.to_monomial(qs.multiply(_m_elt(m, a2), _m_elt(m, b2)))
+            for k1, c1 in p1.terms.items():
+                for k2, c2 in p2.terms.items():
+                    iadd(rhs, (k1, k2), c1 * c2)
+    return lhs == rhs
+
+
+def _qsym_antipode_ok(key):
+    m, alpha = key
+    left, right = {}, {}
+    for a, b in qs.deconcats(alpha):
+        sa = qs.antipode(_m_elt(m, a))
+        for k, c in qs.to_monomial(qs.multiply(sa, _m_elt(m, b))).terms.items():
+            iadd(left, k, c)
+        sb = qs.antipode(_m_elt(m, b))
+        for k, c in qs.to_monomial(qs.multiply(_m_elt(m, a), sb)).terms.items():
+            iadd(right, k, c)
+    want = {(): 1} if not alpha else {}
+    return left == want and right == want
+
+
+def _coalgebra_ok(gf, P):
+    """The generating function gf turns poset splits into its coproduct."""
+    lhs = qs.coproduct(gf(P))
+    rhs = {}
+    for I, R in P.splits():
+        for a, ca in gf(I).terms.items():
+            for b, cbb in gf(R).terms.items():
+                iadd(rhs, (a, b), ca * cbb)
+    return lhs == rhs
+
+
+def _suite_hopf_axioms(m, max_n, max_N, seed):
+    max_n = 5 if max_n is None else max_n
+    grid = _poset_grid(m, max_n)
+    pairs = _size_pairs(grid, max_n)
+    qn = min(max_n, 4)
+    keys = [(m, a) for a in _comp_grid(m, qn)]
+    prods = [(m, a, b) for _, a in keys for _, b in keys
+             if cb.weight(a) + cb.weight(b) <= qn]
+    kj = lambda k: {"comp": comp_json(k[1])}
+    kj2 = lambda k: {"first": comp_json(k[1]), "second": comp_json(k[2])}
+    return [
+        _scan("poset-counit", grid, _poset_counit_ok, poset_json),
+        _scan("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
+        _scan("poset-bialgebra", pairs, _poset_bialgebra_ok, _poset_pair_json),
+        _scan("poset-antipode", grid, _poset_antipode_ok, poset_json),
+        _scan("qsym-counit", keys, _qsym_counit_ok, kj),
+        _scan("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
+        _scan("qsym-bialgebra", prods, _qsym_bialgebra_ok, kj2),
+        _scan("qsym-antipode", keys, _qsym_antipode_ok, kj),
+    ]
+
+
+def _morphism_suite(prefix, gf):
+    """Suite checking that gf is an algebra and a coalgebra morphism."""
+    def suite(m, max_n, max_N, seed):
+        max_n = 5 if max_n is None else max_n
+        grid = _poset_grid(m, max_n)
+        pairs = _size_pairs(grid, max_n)
+        return [
+            _scan(prefix + "-algebra", pairs,
+                  lambda pr: qs.multiply(gf(pr[0]), gf(pr[1]))
+                  == gf(ps.product_key(pr[0], pr[1])),
+                  _poset_pair_json),
+            _scan(prefix + "-coalgebra", grid,
+                  lambda P: _coalgebra_ok(gf, P), poset_json),
+        ]
+    return suite
+
+
+def _suite_theta_morphism(m, max_n, max_N, seed):
+    max_n = 5 if max_n is None else max_n
+    grid = _poset_grid(m, max_n)
+    comps = _comp_grid(m, max_n)
+    cpairs = [(a, b) for a in comps for b in comps
+              if cb.weight(a) + cb.weight(b) <= max_n]
+    fe = lambda a: qs.QElt.basis_elt(m, "F", a)
+    return [
+        _scan("theta-after-gamma", grid,
+              lambda P: qs.peak_projection(qs.ppartition_gf(P))
+              == qs.enriched_gf(P),
+              poset_json),
+        _scan("theta-antipode-commutes", comps,
+              lambda a: qs.peak_projection(qs.antipode(fe(a)))
+              == qs.antipode(qs.peak_projection(fe(a))),
+              lambda a: {"comp": comp_json(a)}),
+        _scan("theta-algebra", cpairs,
+              lambda pr: qs.peak_projection(qs.multiply(fe(pr[0]), fe(pr[1])))
+              == qs.multiply(qs.peak_projection(fe(pr[0])),
+                             qs.peak_projection(fe(pr[1]))),
+              lambda pr: {"first": comp_json(pr[0]),
+                          "second": comp_json(pr[1])}),
+    ]
+
+
+def _suite_antipode_consistency(m, max_n, max_N, seed):
+    max_n = 4 if max_n is None else max_n
+    grid = _poset_grid(m, max_n)
+    comps = _comp_grid(m, max_n)
+    peaks = [a for n in range(max_n + 1) for a in cb.peak_compositions(m, n)]
+    cjson = lambda a: {"comp": comp_json(a)}
+    return [
+        _scan("monomial-closed-vs-inductive", comps,
+              lambda a: qs.antipode(_m_elt(m, a))
+              == qs.antipode_inductive_key(a, m),
+              cjson),
+        _scan("fundamental-vs-monomial-route", comps,
+              lambda a: qs.to_monomial(
+                  qs.antipode(qs.QElt.basis_elt(m, "F", a)))
+              == qs.antipode(qs.f_to_m(qs.QElt.basis_elt(m, "F", a))),
+              cjson),
+        _scan("peak-vs-monomial-route", peaks,
+              lambda a: qs.to_monomial(
+                  qs.antipode(qs.QElt.basis_elt(m, "K", a)))
+              == qs.antipode(qs.to_monomial(qs.QElt.basis_elt(m, "K", a))),
+              cjson),
+        _scan("poset-inductive-vs-chains", grid,
+              lambda P: ps.antipode_key(P) == ps.antipode_chains_key(P),
+              poset_json),
+    ]
+
+
+def _suite_oracle_equivalence(m, max_n, max_N, seed):
+    max_n = 4 if max_n is None else max_n
+    max_N = 2 if max_N is None else max_N
+    grid = _poset_grid(m, max_n)
+    cases = [(P, N) for P in grid for N in range(1, max_N + 1)]
+    pairs = _size_pairs(grid, max_n)
+    cj = lambda case: {"poset": poset_json(case[0]), "N": case[1]}
+    return [
+        _scan("ppartitions-vs-gamma", cases,
+              lambda case: oc.enumerate_ppartitions(case[0], case[1])
+              == oc.truncate(qs.ppartition_gf(case[0]), case[1]),
+              cj),
+        _scan("enriched-vs-lambda", cases,
+              lambda case: oc.enumerate_enriched(case[0], case[1])
+              == oc.truncate(qs.enriched_gf(case[0]), case[1]),
+              cj),
+        _scan("oracle-product-law", pairs,
+              lambda pr: oc.enumerate_ppartitions(
+                  ps.disjoint_union(pr[0], pr[1]), max_N)
+              == oc.enumerate_ppartitions(pr[0], max_N)
+              * oc.enumerate_ppartitions(pr[1], max_N),
+              _poset_pair_json),
+        _scan("split-alphabet", grid,
+              lambda P: oc.split_alphabet_check(P, max_N),
+              poset_json),
+        _scan("extension-partition", grid,
+              lambda P: _extension_partition_ok(P, max_N),
+              poset_json),
+    ]
+
+
+def _extension_partition_ok(P, N):
+    whole = oc.enumerate_ppartitions(P, N)
+    acc = oc.TPoly(N, P.m, {})
+    for pi in P.linear_extensions():
+        acc = acc + oc.enumerate_ppartitions(ps.chain_poset(P.m, pi), N)
+    return acc == whole
+
+
+def _suite_character_group(m, max_n, max_N, seed):
+    max_n = 4 if max_n is None else max_n
+    keys = _comp_grid(m, max_n)
+    grid = _poset_grid(m, max_n)
+    gens = []
+    for j in range(m):
+        z = ch.zeta_qsym(m, j)
+        gens.extend([z, ch.bar(z), ch.inverse(z)])
+    rng = random.Random(seed)
+    triples = [tuple(rng.choice(gens) for _ in range(3)) for _ in range(12)]
+
+    def assoc_ok(tr):
+        a, b, c = tr
+        lhs = ch.convolve(ch.convolve(a, b), c)
+        rhs = ch.convolve(a, ch.convolve(b, c))
+        return all(lhs.of_key(k) == rhs.of_key(k) for k in keys)
+
+    def inverse_ok(phi):
+        li = ch.convolve(ch.inverse(phi), phi)
+        ri = ch.convolve(phi, ch.inverse(phi))
+        return all(li.of_key(k) == ri.of_key(k) == (1 if not k else 0)
+                   for k in keys)
+
+    def pullback_ok(arg):
+        j, P = arg
+        if j is None:
+            zp, zq = ch.zeta_poset_all(m), ch.zeta_qsym_all(m)
+        else:
+            zp, zq = ch.zeta_poset(m, j), ch.zeta_qsym(m, j)
+        return zp.of_key(P) == zq(qs.ppartition_gf(P))
+
+    pulls = [(j, P) for j in list(range(m)) + [None] for P in grid]
+    return [
+        _scan("convolution-associativity", triples, assoc_ok,
+              lambda tr: {"names": [p.name for p in tr]}),
+        _scan("two-sided-inverse", gens, inverse_ok,
+              lambda p: {"name": p.name}),
+        _scan("zeta-pullback-along-gamma", pulls, pullback_ok,
+              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+    ]
+
+
+def _suite_nu_counting(m, max_n, max_N, seed):
+    max_n = 4 if max_n is None else max_n
+    grid = _poset_grid(m, max_n)
+
+    def single_ok(arg):
+        j, P = arg
+        if P.n == 0:
+            return ch.nu_poset(m, j).of_key(P) == 1
+        cnt = sum(1 for pi in P.linear_extensions()
+                  if all(c == j for _, c in pi) and not cb.peak_set(pi))
+        return ch.nu_poset(m, j).of_key(P) == 2 * cnt
+
+    def full_ok(P):
+        if P.n == 0:
+            return ch.nu_poset_all(m).of_key(P) == 1
+        k = len(set(P.colors))
+        cnt = 0
+        for pi in P.linear_extensions():
+            cols = [c for _, c in pi]
+            if all(cols[i] <= cols[i + 1] for i in range(len(cols) - 1)) \
+                    and not cb.peak_set(pi):
+                cnt += 1
+        return ch.nu_poset_all(m).of_key(P) == (1 << k) * cnt
+
+    def lambda_ok(P):
+        return ch.nu_poset_all(m).of_key(P) \
+            == ch.zeta_qsym_all(m)(qs.enriched_gf(P))
+
+    def odd_ok(arg):
+        j, P = arg
+        phi = ch.nu_poset(m, j)
+        return ch.bar(phi).of_key(P) == ch.inverse(phi).of_key(P)
+
+    singles = [(j, P) for j in range(m) for P in grid]
+    return [
+        _scan("nu-single-color-counting", singles, single_ok,
+              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+        _scan("nu-full-counting", grid, full_ok, poset_json),
+        _scan("nu-equals-zeta-after-lambda", grid, lambda_ok, poset_json),
+        _scan("nu-oddness", singles, odd_ok,
+              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+    ]
+
+
+def _suite_dimension_counts(m, max_n, max_N, seed):
+    max_n = 5 if max_n is None else max_n
+    levels = list(range(1, max_n + 1))
+
+    def qsym_ok(n):
+        return len(cb.enumerate_compositions(m, n)) == m * (m + 1) ** (n - 1)
+
+    def peak_ok(n):
+        return len(cb.peak_compositions(m, n)) \
+            == cb.count_peak_compositions(m, n)
+
+    return [
+        _scan("qsym-dimension-formula", levels, qsym_ok, lambda n: {"n": n}),
+        _scan("peak-dimension-recurrence", levels, peak_ok,
+              lambda n: {"n": n}),
+    ]
+
+
+SUITES = {
+    "hopf-axioms": _suite_hopf_axioms,
+    "gamma-morphism": _morphism_suite("gamma", qs.ppartition_gf),
+    "lambda-morphism": _morphism_suite("lambda", qs.enriched_gf),
+    "theta-morphism": _suite_theta_morphism,
+    "antipode-consistency": _suite_antipode_consistency,
+    "oracle-equivalence": _suite_oracle_equivalence,
+    "character-group": _suite_character_group,
+    "nu-counting": _suite_nu_counting,
+    "dimension-counts": _suite_dimension_counts,
+}

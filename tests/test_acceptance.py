@@ -8,7 +8,7 @@ budget assert it after the work is done.
 import time
 
 from cqsym import characters as ch
-from cqsym import cli
+from cqsym import verify
 from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
@@ -31,7 +31,7 @@ def _criterion(label, fn, budget=None):
 def _run_suites(names, m_values, max_n=None, max_N=None):
     for name in names:
         for m in m_values:
-            for check in cli._SUITES[name](m, max_n, max_N, 0):
+            for check in verify.SUITES[name](m, max_n, max_N, 0):
                 assert check["checked"] > 0, (name, m, check["name"])
                 assert check["ok"], (name, m, check)
 

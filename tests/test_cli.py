@@ -6,6 +6,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 from cqsym import cli
 
 
@@ -116,6 +118,18 @@ def test_poset_count():
     code, out = _run("poset", "count", "--m", "2", "--max-n", "3")
     assert code == 0
     assert [r["classes"] for r in out["rows"]] == [1, 2, 11, 108]
+
+
+def test_poset_check_reports_canonical_forms():
+    shifted = {"m": 2, "elements": [[5, 0], [6, 1], [8, 0]],
+               "covers": [[6, 5], [6, 8]]}
+    code, out = _run("poset", "check", "--in", _payload(shifted))
+    assert code == 0
+    assert out == {"m": 2, "size": 3, "canonical": False}
+    _, canon = _run("poset", "canonical", "--in", _payload(shifted))
+    code, out = _run("poset", "check", "--in", _payload(canon))
+    assert code == 0
+    assert out == {"m": 2, "size": 3, "canonical": True}
 
 
 def test_poset_antipode_routes_agree():
@@ -279,6 +293,14 @@ def test_verify_unknown_suite_is_a_parse_error():
     assert out["error"]["type"] == "parse"
 
 
+def test_verify_with_no_cases_fails():
+    code, out = _run("verify", "--suite", "dimension-counts", "--m", "2",
+                     "--max-n", "0")
+    assert code == 1
+    assert out["ok"] is False
+    assert [(c["checked"], c["ok"]) for c in out["checks"]] == [(0, False)] * 2
+
+
 def test_dims_golden():
     code, out = _run("dims", "--m", "2", "--max-n", "5")
     assert code == 0
@@ -316,6 +338,26 @@ def test_poset_cycle_exits_3():
     assert out["error"]["type"] == "domain"
 
 
+def test_zero_denominator_exits_2():
+    code, out = _run("qsym", "counit", "--in", _payload(
+        _qsym_elt(2, "M", ("1/0", [[1, 0]]))))
+    assert code == 2
+    assert out["error"]["type"] == "parse"
+    assert "zero denominator" in out["error"]["detail"]
+
+
+def test_unexpected_exception_exits_4(monkeypatch):
+    def broken(alpha):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.cb, "hat", broken)
+    code, out = _run("comp", "hat", "--in",
+                     _payload({"m": 1, "comp": [[1, 0]]}))
+    assert code == 4
+    assert out == {"error": {"type": "internal",
+                             "detail": "RuntimeError: boom"}}
+
+
 def test_conflicting_m_exits_2():
     code, out = _run("comp", "hat", "--m", "2", "--in",
                      _payload({"m": 1, "comp": [[1, 0]]}))
@@ -331,3 +373,96 @@ def test_module_invocation_reads_stdin():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"m": 1, "comp": [[4, 0]]}
+
+
+# --- every verb/op pair: one valid and one malformed call ------------------
+
+_COMP = _payload({"m": 2, "comp": [[2, 0], [1, 0], [2, 1]]})
+_BAD_COMP = _payload({"m": 2, "comp": [[2, 0], [1, 5]]})
+_PERM = _payload({"m": 2, "perm": [[3, 0], [5, 1], [2, 1], [4, 0]]})
+_BAD_PERM = _payload({"m": 2, "perm": [[3, 0], [3, 1]]})
+_POSET = {"m": 2, "elements": [[1, 0], [2, 1], [3, 0]],
+          "covers": [[2, 1], [2, 3]]}
+_BAD_POSET = _payload({"m": 1, "elements": [[1, 0], [2, 0]],
+                       "covers": [[1, 2], [2, 1]]})
+_TWO_POSETS = _payload({"first": _POSET, "second": _POSET})
+_F = _qsym_elt(2, "F", (1, [[2, 0], [1, 1]]), ("1/2", [[1, 1]]))
+_BAD_QSYM = _payload(_qsym_elt(2, "F", ("1/0", [[1, 0]])))
+
+# (verb, op) -> (valid argv tail, malformed argv tail)
+SMOKE = {
+    **{("comp", op): (["--in", _COMP], ["--in", _BAD_COMP])
+       for op in ("check", "star", "hat", "conjugate", "reverse", "rainbow",
+                  "refinements", "coarsenings", "rep-chain")},
+    ("comp", "enumerate"): (["--m", "2", "--max-n", "3"], ["--max-n", "3"]),
+    ("comp", "enumerate-peak"): (["--m", "2", "--max-n", "3"],
+                                 ["--m", "0"]),
+    **{("perm", op): (["--in", _PERM], ["--in", _BAD_PERM])
+       for op in ("check", "descent-comp", "peak-comp", "peak-set",
+                  "standardize")},
+    ("perm", "shuffle"): (
+        ["--in", _payload({"m": 1, "left": [[1, 0], [3, 0]],
+                           "right": [[2, 0]]})],
+        ["--in", _payload({"m": 1, "left": [[1, 0]], "right": [[1, 0]]})]),
+    **{("poset", op): (["--in", _payload(_POSET)], ["--in", _BAD_POSET])
+       for op in ("check", "canonical", "ideals", "extensions", "coproduct",
+                  "antipode")},
+    **{("poset", op): (["--in", _TWO_POSETS],
+                       ["--in", _payload({"first": _POSET})])
+       for op in ("equivalent", "product")},
+    ("poset", "count"): (["--m", "1", "--max-n", "3"], ["--max-n", "3"]),
+    **{("qsym", op): (["--in", _payload(_F)], ["--in", _BAD_QSYM])
+       for op in ("coproduct", "antipode", "counit", "theta")},
+    ("qsym", "convert"): (["--basis", "M", "--in", _payload(_F)],
+                          ["--in", _payload(_F)]),
+    ("qsym", "product"): (
+        ["--in", _payload({"first": _F, "second": _F})],
+        ["--in", _payload({"first": _F, "second": dict(_F, basis="X")})]),
+    **{("qsym", op): (["--in", _payload(_POSET)], ["--in", _BAD_POSET])
+       for op in ("gamma", "lambda")},
+    ("char", "eval"): (["zetaQ", "--in", _payload(_F)],
+                       ["zetaX", "--in", _payload(_F)]),
+    ("char", "psi"): (["nuP", "--in", _payload(_POSET)],
+                      ["nuP:0", "--in", _payload(_POSET)]),
+    **{("oracle", op): (["--max-N", "2", "--in", _payload(_POSET)],
+                        ["--max-N", "0", "--in", _payload(_POSET)])
+       for op in ("ppartitions", "enriched", "split-check")},
+    ("oracle", "truncate"): (["--max-N", "2", "--in", _payload(_F)],
+                             ["--max-N", "2", "--in", "{\"m\": 2,"]),
+    ("verify", None): (["--suite", "dimension-counts", "--m", "1",
+                        "--max-n", "3"],
+                       ["--suite", "no-such-suite"]),
+    ("dims", None): (["--m", "2", "--max-n", "4"], ["--max-n", "4"]),
+}
+
+
+def _parser_pairs():
+    verbs = [a for a in cli._build_parser()._actions if a.dest == "verb"][0]
+    pairs = set()
+    for verb, parser in verbs.choices.items():
+        ops = [a.choices for a in parser._actions if a.dest == "op"]
+        pairs.update((verb, op) for op in (ops[0] if ops else [None]))
+    return pairs
+
+
+def test_smoke_matrix_covers_every_verb_op_pair():
+    assert set(SMOKE) == _parser_pairs()
+    assert len(SMOKE) == 42
+
+
+@pytest.mark.parametrize("pair", sorted(SMOKE, key=str), ids=str)
+def test_smoke_valid_and_malformed(pair, capsys):
+    verb, op = pair
+    head = [verb] + ([op] if op else [])
+    good, bad = SMOKE[pair]
+    code = cli.main(head + good)
+    out, err = capsys.readouterr()
+    assert code == 0, out
+    body = json.loads(out)
+    assert isinstance(body, dict) and "error" not in body
+    assert "Traceback" not in err
+    code = cli.main(head + bad)
+    out, err = capsys.readouterr()
+    assert code in (2, 3), out
+    assert set(json.loads(out)) == {"error"}
+    assert "Traceback" not in err
