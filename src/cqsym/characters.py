@@ -206,26 +206,18 @@ def nu_poset_all(m):
     return _convolve_all([nu_poset(m, j) for j in range(m)], "nuP")
 
 
-_ssplit_memo = {}
-
-
+@cache
 def _strict_splits(dom, key, parts):
     """Iterated coproduct terms with every tensor factor of positive degree,
     as a multiplicity map on tuples of keys."""
-    try:
-        return _ssplit_memo[dom, key, parts]
-    except KeyError:
-        pass
     if parts == 1:
-        out = {(key,): 1} if dom.degree(key) > 0 else {}
-    else:
-        out = {}
-        for a, b in dom.splits(key):
-            if dom.degree(a) < 1 or dom.degree(b) < parts - 1:
-                continue
-            for tail, mult in _strict_splits(dom, b, parts - 1).items():
-                iadd(out, (a,) + tail, mult)
-    _ssplit_memo[dom, key, parts] = out
+        return {(key,): 1} if dom.degree(key) > 0 else {}
+    out = {}
+    for a, b in dom.splits(key):
+        if dom.degree(a) < 1 or dom.degree(b) < parts - 1:
+            continue
+        for tail, mult in _strict_splits(dom, b, parts - 1).items():
+            iadd(out, (a,) + tail, mult)
     return out
 
 

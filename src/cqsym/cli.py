@@ -30,6 +30,12 @@ def _expect(cond, msg):
         raise ParseFailure(msg)
 
 
+def _positive_m(m):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return m
+
+
 # --- payload parsing ------------------------------------------------------
 
 def _load(args):
@@ -58,7 +64,7 @@ def _payload_m(payload, args):
             "m must be an integer")
     if args.m is not None and "m" in payload and payload["m"] != args.m:
         raise ParseFailure("--m disagrees with the payload's m")
-    return m
+    return _positive_m(m)
 
 
 def _pairs(obj, what):
@@ -182,9 +188,7 @@ def tpoly_json(p):
 
 def _require_m(args):
     _expect(args.m is not None, "--m is required for this command")
-    if args.m < 1:
-        raise ValueError("m must be >= 1")
-    return args.m
+    return _positive_m(args.m)
 
 
 def cmd_comp(args):
@@ -419,9 +423,7 @@ def cmd_verify(args):
             % ", ".join(sorted(SUITES)))
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
-    m = args.m if args.m is not None else 2
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _positive_m(args.m if args.m is not None else 2)
     checks = SUITES[name](m, args.max_n, args.max_N, args.seed)
     ok = all(c["ok"] for c in checks)
     report = {"suite": name, "m": m, "checks": checks, "ok": ok}
@@ -441,8 +443,15 @@ def cmd_dims(args):
 
 # --- wiring ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become ParseFailure, so they get a JSON answer."""
+
+    def error(self, message):
+        raise ParseFailure("%s: %s" % (self.prog, message))
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--m", type=int, default=None)
     common.add_argument("--max-n", dest="max_n", type=int, default=None)
     common.add_argument("--max-N", dest="max_N", type=int, default=None)
@@ -454,7 +463,7 @@ def _build_parser():
     common.add_argument("--json-indent", dest="json_indent", type=int,
                         default=None)
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cqsym",
         description="Colored quasisymmetric functions, colored labeled "
                     "posets, and their Hopf algebra maps.")
@@ -496,8 +505,9 @@ def _emit(obj, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         out = args.fn(args)
     except ParseFailure as exc:
         _emit({"error": {"type": "parse", "detail": str(exc)}}, args)

@@ -13,12 +13,14 @@ in for value comparisons everywhere.
 
 Canonical instances (values 1..n, fixed points of canonical_form) are
 interned: one object per equivalence class per process.  They are the
-basis keys of the algebra elements (PElt) and all the heavy per-poset
-data (ideal splits, antipodes, products) is memoized on them globally.
+basis keys of the algebra elements (PElt).  The heavy per-poset data is
+memoized on them: ideal splits in a slot of the instance, products and
+antipodes in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8.
 """
 
+from functools import cache
 from itertools import product as _iproduct
 
 from .terms import iadd, iadd_scaled
@@ -284,21 +286,12 @@ def disjoint_union(P, Q):
 # minimizers.  Minimizing rows first and colors second matches sorting
 # by (cover list, color list).
 
-_struct_memo = {}
-_canon_memo = {}
-_intern = {}
-
-
+@cache
 def _struct_canon(above):
     """Canonical closure masks plus all minimizing placements."""
-    hit = _struct_memo.get(above)
-    if hit is not None:
-        return hit
     n = len(above)
     if n == 0:
-        result = ((), ((),))
-        _struct_memo[above] = result
-        return result
+        return ((), ((),))
     below = _invert(above)
     comp = [above[i] | below[i] for i in range(n)]
     partials = [((), 0)]
@@ -324,31 +317,21 @@ def _struct_canon(above):
         pos[i] = p
     above_c = tuple(sum(1 << pos[j] for j in _bits(above[first[p]]))
                     for p in range(n))
-    result = (above_c, orders)
-    _struct_memo[above] = result
-    return result
+    return (above_c, orders)
 
 
+@cache
 def _intern_canonical(m, colors, above):
-    key = (m, colors, above)
-    inst = _intern.get(key)
-    if inst is None:
-        inst = Poset(m, tuple(range(1, len(colors) + 1)), colors, above)
-        inst._canon = inst
-        _intern[key] = inst
+    inst = Poset(m, tuple(range(1, len(colors) + 1)), colors, above)
+    inst._canon = inst
     return inst
 
 
+@cache
 def _canonical_from(m, colors, above):
-    key = (m, colors, above)
-    hit = _canon_memo.get(key)
-    if hit is not None:
-        return hit
     above_c, orders = _struct_canon(above)
     best = min(tuple(colors[i] for i in order) for order in orders)
-    inst = _intern_canonical(m, best, above_c)
-    _canon_memo[key] = inst
-    return inst
+    return _intern_canonical(m, best, above_c)
 
 
 def canonical_form(P):
@@ -369,53 +352,44 @@ def _sub_canonical(P, mask):
 
 # --- enumeration ----------------------------------------------------------
 
-_orders_memo = {}
-
-
+@cache
 def labeled_orders(n):
     """Closure masks of every partial order on n value-ordered elements.
 
     Counts 1, 1, 3, 19, 219, 4231, ... over n = 0, 1, 2, ...
     """
-    if n in _orders_memo:
-        return _orders_memo[n]
     if n == 0:
-        out = ((),)
-    else:
-        out = []
-        k = n - 1
-        full = (1 << k) - 1
-        for above in labeled_orders(k):
-            below = _invert(above)
-            downsets = [d for d in range(1 << k)
-                        if all(not (below[i] & ~d) for i in _bits(d))]
-            upsets = [u for u in range(1 << k)
-                      if all(not (above[i] & ~u) for i in _bits(u))]
-            for d in downsets:
-                allowed = full
-                for a in _bits(d):
-                    allowed &= above[a]
-                for u in upsets:
-                    if u & ~allowed:
-                        continue
-                    new = [above[i] | (1 << k) if d >> i & 1 else above[i]
-                           for i in range(k)]
-                    new.append(u)
-                    out.append(tuple(new))
-        out = tuple(out)
-    _orders_memo[n] = out
-    return out
-
-
-_basis_memo = {}
+        return ((),)
+    out = []
+    k = n - 1
+    full = (1 << k) - 1
+    for above in labeled_orders(k):
+        below = _invert(above)
+        downsets = [d for d in range(1 << k)
+                    if all(not (below[i] & ~d) for i in _bits(d))]
+        upsets = [u for u in range(1 << k)
+                  if all(not (above[i] & ~u) for i in _bits(u))]
+        for d in downsets:
+            allowed = full
+            for a in _bits(d):
+                allowed &= above[a]
+            for u in upsets:
+                if u & ~allowed:
+                    continue
+                new = [above[i] | (1 << k) if d >> i & 1 else above[i]
+                       for i in range(k)]
+                new.append(u)
+                out.append(tuple(new))
+    return tuple(out)
 
 
 def canonical_posets(m, n):
     """All canonical m-colored posets with n elements, sorted."""
-    key = (m, n)
-    hit = _basis_memo.get(key)
-    if hit is not None:
-        return hit
+    return _canonical_posets(m, n)
+
+
+@cache
+def _canonical_posets(m, n):
     structs = []
     seen = set()
     for above in labeled_orders(n):
@@ -437,9 +411,7 @@ def canonical_posets(m, n):
                 found.add(best)
                 out.append(_intern_canonical(m, best, above_c))
     out.sort(key=Poset.sort_key)
-    out = tuple(out)
-    _basis_memo[key] = out
-    return out
+    return tuple(out)
 
 
 # --- predicates used by the characters ------------------------------------
@@ -471,17 +443,14 @@ def is_monochromatic(P, j):
 
 # --- the Hopf algebra -----------------------------------------------------
 
-_union_memo = {}
-
-
 def product_key(A, B):
     """Canonical form of the disjoint union of two canonical posets."""
-    key = (A, B) if id(A) <= id(B) else (B, A)
-    hit = _union_memo.get(key)
-    if hit is None:
-        hit = disjoint_union(A, B).canonical
-        _union_memo[key] = hit
-    return hit
+    return _union(A, B) if id(A) <= id(B) else _union(B, A)
+
+
+@cache
+def _union(A, B):
+    return disjoint_union(A, B).canonical
 
 
 class PElt:
@@ -580,30 +549,26 @@ def counit(a):
     return a.terms.get(e, 0)
 
 
-_antipode_memo = {}
-
-
 def antipode_key(P):
     """S on a canonical basis poset, by the inductive route.
 
     S(P) = -P - sum over proper nonempty ideals I of S(I) * (P minus I);
     the result is a sparse map poset -> integer, memoized globally.
     """
-    hit = _antipode_memo.get(P)
-    if hit is not None:
-        return hit
+    return _antipode(P)
+
+
+@cache
+def _antipode(P):
     if P.n == 0:
-        result = {P: 1}
-    else:
-        acc = {P: -1}
-        for I, R in P.splits():
-            if I.n == 0 or R.n == 0:
-                continue
-            for Q, c in antipode_key(I).items():
-                iadd(acc, product_key(Q, R), -c)
-        result = acc
-    _antipode_memo[P] = result
-    return result
+        return {P: 1}
+    acc = {P: -1}
+    for I, R in P.splits():
+        if I.n == 0 or R.n == 0:
+            continue
+        for Q, c in _antipode(I).items():
+            iadd(acc, product_key(Q, R), -c)
+    return acc
 
 
 def antipode_chains_key(P):

@@ -15,6 +15,8 @@ are the closed forms: coarsen-and-reverse with sign on M, conjugation
 with sign on F, reversal of a representative chain on K.
 """
 
+from functools import cache
+
 from .terms import iadd, iadd_scaled
 from . import combinat as cb
 from . import poset as ps
@@ -300,9 +302,7 @@ def antipode_m_key(alpha):
     return out
 
 
-_antipode_m_memo = {}
-
-
+@cache
 def antipode_inductive_key(alpha, m):
     """S(M_alpha) through the connected-Hopf recursion; oracle route.
 
@@ -310,21 +310,14 @@ def antipode_inductive_key(alpha, m):
     a = b|c (b, c nonempty) of S(M_b) * M_c, with the product computed
     through the F basis.  Cross-checks the closed form.
     """
-    key = (m, alpha)
-    hit = _antipode_m_memo.get(key)
-    if hit is not None:
-        return hit
     if not alpha:
-        result = QElt.one(m)
-    else:
-        acc = QElt(m, "M", {alpha: -1})
-        for i in range(1, len(alpha)):
-            sb = antipode_inductive_key(alpha[:i], m)
-            prod = multiply(sb, QElt(m, "M", {alpha[i:]: 1}))
-            acc = acc - to_monomial(prod)
-        result = acc
-    _antipode_m_memo[key] = result
-    return result
+        return QElt.one(m)
+    acc = QElt(m, "M", {alpha: -1})
+    for i in range(1, len(alpha)):
+        sb = antipode_inductive_key(alpha[:i], m)
+        prod = multiply(sb, QElt(m, "M", {alpha[i:]: 1}))
+        acc = acc - to_monomial(prod)
+    return acc
 
 
 def antipode_inductive(e):
@@ -348,24 +341,17 @@ def peak_projection(e):
     return QElt(e.m, "K", out)
 
 
-_gamma_memo = {}
-_lambda_memo = {}
-
-
-def _extension_gf(P, basis, stat, memo):
+@cache
+def _extension_gf(c, basis, stat):
     """Sum of the basis element at stat(pi) over linear extensions pi.
 
-    Depends only on the equivalence class, so it is memoized on
-    canonical forms.
+    Depends only on the equivalence class, so callers pass the canonical
+    form c and the result is memoized on it.
     """
-    c = P.canonical
-    hit = memo.get(c)
-    if hit is None:
-        out = {}
-        for pi in c.linear_extensions():
-            iadd(out, stat(pi), 1)
-        hit = memo[c] = QElt(c.m, basis, out)
-    return hit
+    out = {}
+    for pi in c.linear_extensions():
+        iadd(out, stat(pi), 1)
+    return QElt(c.m, basis, out)
 
 
 def ppartition_gf(P):
@@ -373,7 +359,7 @@ def ppartition_gf(P):
 
     Sums F at the descent composition of every linear extension.
     """
-    return _extension_gf(P, "F", cb.descent_composition, _gamma_memo)
+    return _extension_gf(P.canonical, "F", cb.descent_composition)
 
 
 def enriched_gf(P):
@@ -382,7 +368,7 @@ def enriched_gf(P):
     Sums K at the peak composition of every linear extension; equals
     peak_projection(ppartition_gf(P)).
     """
-    return _extension_gf(P, "K", cb.peak_composition, _lambda_memo)
+    return _extension_gf(P.canonical, "K", cb.peak_composition)
 
 
 # --- exact rank, for the dimension table ----------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -364,13 +365,37 @@ def test_conflicting_m_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("char", "eval", "zetaQ", "--in", '{"m": 0, "basis": "M", "terms": []}'),
+    ("char", "psi", "zetaQ", "--in", '{"m": 0, "basis": "M", "terms": []}'),
+    ("qsym", "counit", "--in", '{"m": -1, "basis": "M", "terms": []}'),
+], ids=["char-eval", "char-psi", "qsym-counit"])
+def test_payload_m_below_one_exits_3(argv):
+    code, out = _run(*argv)
+    assert code == 3
+    assert out == {"error": {"type": "domain", "invariant": "m must be >= 1"}}
+
+
+@pytest.mark.parametrize("argv", [("comp",), ("dims", "--m", "x")],
+                         ids=["missing-op", "bad-int"])
+def test_argument_errors_exit_2_with_json(argv, capsys):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "parse"
+    assert err == ""
+
+
 # --- the installed entry point --------------------------------------------
 
 def test_module_invocation_reads_stdin():
+    # the child imports the same cqsym as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cqsym.cli", "comp", "hat", "--in", "-"],
         input=_payload({"m": 1, "comp": [[1, 0], [1, 0], [2, 0]]}),
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"m": 1, "comp": [[4, 0]]}
 
