@@ -36,6 +36,17 @@ def _positive_m(m):
     return m
 
 
+# Bounds on the exponential operations; larger inputs are a domain error.
+MAX_POSET_SIZE = 8        # canonicalization is factorial on antichains
+MAX_COUNT_N = 6           # poset count walks every labeled order
+MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
+
+
+def _at_most(size, limit, what):
+    if size > limit:
+        raise ValueError("%s must be <= %d" % (what, limit))
+
+
 # --- payload parsing ------------------------------------------------------
 
 def _load(args):
@@ -99,6 +110,7 @@ def parse_poset(payload, args):
     m = _payload_m(payload, args)
     _expect("elements" in payload, "payload needs an 'elements' field")
     elements = _pairs(payload["elements"], "elements")
+    _at_most(len(elements), MAX_POSET_SIZE, "poset size")
     covers = _pairs(payload.get("covers", []), "covers")
     return ps.make_poset(m, elements, covers)
 
@@ -217,12 +229,10 @@ def cmd_comp(args):
         return {"m": m,
                 "blocks": [{"sizes": list(sizes), "color": color}
                            for sizes, color in cb.rainbow_decompose(alpha)]}
-    if op == "refinements":
-        return {"m": m, "comps": [comp_json(b)
-                                  for b in sorted(cb.refinements(alpha))]}
-    if op == "coarsenings":
-        return {"m": m, "comps": [comp_json(b)
-                                  for b in sorted(cb.coarsenings(alpha))]}
+    if op in ("refinements", "coarsenings"):
+        _at_most(cb.weight(alpha), MAX_REFINE_WEIGHT, "composition weight")
+        fn = cb.refinements if op == "refinements" else cb.coarsenings
+        return {"m": m, "comps": [comp_json(b) for b in sorted(fn(alpha))]}
     if op == "rep-chain":
         return {"m": m, "perm": perm_json(cb.rep_chain(alpha))}
     raise ParseFailure("unknown comp operation %r" % op)
@@ -258,6 +268,7 @@ def cmd_poset(args):
     if op == "count":
         m = _require_m(args)
         maxn = args.max_n if args.max_n is not None else 4
+        _at_most(maxn, MAX_COUNT_N, "--max-n")
         return {"m": m,
                 "rows": [{"n": n, "classes": len(ps.canonical_posets(m, n))}
                          for n in range(maxn + 1)]}
@@ -271,6 +282,7 @@ def cmd_poset(args):
     if op == "product":
         first = parse_poset(_sub_payload(payload, "first"), args)
         second = parse_poset(_sub_payload(payload, "second"), args)
+        _at_most(first.n + second.n, MAX_POSET_SIZE, "poset size")
         return poset_json(ps.disjoint_union(first, second))
     P = parse_poset(payload, args)
     if op == "check":

@@ -13,15 +13,19 @@ in for value comparisons everywhere.
 
 Canonical instances (values 1..n, fixed points of canonical_form) are
 interned: one object per equivalence class per process.  They are the
-basis keys of the algebra elements (PElt).  The heavy per-poset data is
-memoized on them: ideal splits in a slot of the instance, products and
-antipodes in process-wide functools caches.
+basis keys of the algebra elements (PElt), and they hash by identity:
+an equal labeled poset hashes as its representative.  Per order
+structure (closure masks), a functools cache holds the ideal masks and
+the plan that cuts a poset along each of them; the canonical ideal
+splits themselves are memoized on the instance, products and antipodes
+in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
-case (antichains); intended for n <= 8.
+case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
 
 from functools import cache
 from itertools import product as _iproduct
+from operator import itemgetter
 
 from .terms import iadd, iadd_scaled
 
@@ -43,11 +47,45 @@ def _bits(mask):
         mask ^= b
 
 
+def _sub_above(above, mask):
+    """Element indices of mask and the closure masks of the induced order."""
+    idxs = list(_bits(mask))
+    pos = {i: p for p, i in enumerate(idxs)}
+    return idxs, tuple(sum(1 << pos[j] for j in _bits(above[i] & mask))
+                       for i in idxs)
+
+
+def _picker(idxs):
+    """An itemgetter that returns the tuple of the items at idxs."""
+    lo = idxs[0] if idxs else 0
+    if idxs == list(range(lo, lo + len(idxs))):
+        return itemgetter(slice(lo, lo + len(idxs)))
+    return itemgetter(*idxs)
+
+
+@cache
+def _split_plan(above):
+    """Ideal masks of an order structure and, per ideal, a color picker
+    and closure masks for the ideal and for its complement."""
+    below = _invert(above)
+    full = (1 << len(above)) - 1
+    masks = []
+    plan = []
+    for mask in range(full + 1):
+        if any(below[i] & ~mask for i in _bits(mask)):
+            continue
+        masks.append(mask)
+        idxs, above_i = _sub_above(above, mask)
+        rest, above_r = _sub_above(above, full & ~mask)
+        plan.append((_picker(idxs), above_i, _picker(rest), above_r))
+    return tuple(masks), tuple(plan)
+
+
 class Poset:
     """An m-colored labeled poset; immutable.  Build via make_poset."""
 
     __slots__ = ("m", "n", "values", "colors", "above", "below",
-                 "_hash", "_canon", "_ideals", "_splits")
+                 "_canon", "_splits")
 
     def __init__(self, m, values, colors, above):
         self.m = m
@@ -56,9 +94,7 @@ class Poset:
         self.colors = colors
         self.above = above
         self.below = _invert(above)
-        self._hash = hash((m, values, colors, above))
         self._canon = None
-        self._ideals = None
         self._splits = None
 
     def __eq__(self, other):
@@ -69,7 +105,7 @@ class Poset:
                 and self.above == other.above)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.canonical)
 
     def __repr__(self):
         return "Poset(m=%d, elements=%r, covers=%r)" % (
@@ -113,24 +149,11 @@ class Poset:
 
     def ideal_masks(self):
         """Bitmasks of all order ideals (downward closed element sets)."""
-        if self._ideals is None:
-            below = self.below
-            out = []
-            for mask in range(1 << self.n):
-                for i in _bits(mask):
-                    if below[i] & ~mask:
-                        break
-                else:
-                    out.append(mask)
-            self._ideals = tuple(out)
-        return self._ideals
+        return _split_plan(self.above)[0]
 
     def restrict(self, mask):
         """Induced labeled subposet on the elements of mask."""
-        idxs = list(_bits(mask))
-        pos = {i: p for p, i in enumerate(idxs)}
-        above = tuple(sum(1 << pos[j] for j in _bits(self.above[i] & mask))
-                      for i in idxs)
+        idxs, above = _sub_above(self.above, mask)
         return Poset(self.m,
                      tuple(self.values[i] for i in idxs),
                      tuple(self.colors[i] for i in idxs),
@@ -143,12 +166,12 @@ class Poset:
     def splits(self):
         """Canonical (ideal, complement) pairs, one per order ideal."""
         if self._splits is None:
-            full = (1 << self.n) - 1
-            out = []
-            for mask in self.ideal_masks():
-                out.append((_sub_canonical(self, mask),
-                            _sub_canonical(self, full & ~mask)))
-            self._splits = tuple(out)
+            m, colors = self.m, self.colors
+            self._splits = tuple(
+                (_canonical_from(m, pick_i(colors), above_i),
+                 _canonical_from(m, pick_r(colors), above_r))
+                for pick_i, above_i, pick_r, above_r
+                in _split_plan(self.above)[1])
         return self._splits
 
     def linear_extensions(self):
@@ -320,9 +343,22 @@ def _struct_canon(above):
     return (above_c, orders)
 
 
+class _Canonical(Poset):
+    """An interned class representative.  No other representative equals
+    it, and an equal labeled poset hashes through it, so it can hash by
+    identity, in C."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        # copies and unpickled objects are the interned instance itself
+        return (_intern_canonical, (self.m, self.colors, self.above))
+
+
 @cache
 def _intern_canonical(m, colors, above):
-    inst = Poset(m, tuple(range(1, len(colors) + 1)), colors, above)
+    inst = _Canonical(m, tuple(range(1, len(colors) + 1)), colors, above)
     inst._canon = inst
     return inst
 
@@ -343,10 +379,7 @@ def equivalent(P, Q):
 
 
 def _sub_canonical(P, mask):
-    idxs = list(_bits(mask))
-    pos = {i: p for p, i in enumerate(idxs)}
-    above = tuple(sum(1 << pos[j] for j in _bits(P.above[i] & mask))
-                  for i in idxs)
+    idxs, above = _sub_above(P.above, mask)
     return _canonical_from(P.m, tuple(P.colors[i] for i in idxs), above)
 
 
@@ -445,11 +478,14 @@ def is_monochromatic(P, j):
 
 def product_key(A, B):
     """Canonical form of the disjoint union of two canonical posets."""
-    return _union(A, B) if id(A) <= id(B) else _union(B, A)
+    return _union(A, B)
 
 
 @cache
 def _union(A, B):
+    # one entry per argument order; the reversed order reuses the other
+    if id(A) > id(B):
+        return _union(B, A)
     return disjoint_union(A, B).canonical
 
 

@@ -386,6 +386,42 @@ def test_argument_errors_exit_2_with_json(argv, capsys):
     assert err == ""
 
 
+_NINE = {"m": 1, "elements": [[v, 0] for v in range(1, 10)]}
+_FIVE = {"m": 1, "elements": [[v, 0] for v in range(1, 6)]}
+
+
+@pytest.mark.parametrize("argv, invariant", [
+    (("poset", "count", "--m", "1", "--max-n", "7"), "--max-n must be <= 6"),
+    (("comp", "refinements", "--in", '{"m": 1, "comp": [[17, 0]]}'),
+     "composition weight must be <= 16"),
+    (("comp", "coarsenings", "--in",
+      '{"m": 2, "comp": [[9, 0], [8, 1]]}'),
+     "composition weight must be <= 16"),
+    (("poset", "canonical", "--in", _payload(_NINE)),
+     "poset size must be <= 8"),
+    (("poset", "product", "--in", _payload({"first": _FIVE, "second": _FIVE})),
+     "poset size must be <= 8"),
+], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
+        "product-size"])
+def test_exponential_operations_are_bounded(argv, invariant, capsys):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": {"type": "domain",
+                                         "invariant": invariant}}
+    assert err == ""
+
+
+def test_bounds_admit_their_limits():
+    eight = {"m": 1, "elements": [[v, 0] for v in range(1, 9)],
+             "covers": [[v, v + 1] for v in range(1, 8)]}
+    code, out = _run("poset", "canonical", "--in", _payload(eight))
+    assert code == 0 and len(out["elements"]) == 8
+    code, out = _run("comp", "refinements", "--in",
+                     _payload({"m": 1, "comp": [[16, 0]]}))
+    assert code == 0 and len(out["comps"]) == 2 ** 15
+
+
 # --- the installed entry point --------------------------------------------
 
 def test_module_invocation_reads_stdin():

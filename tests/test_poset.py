@@ -1,6 +1,8 @@
 """Colored labeled posets and their Hopf algebra."""
 
+import copy
 import math
+import pickle
 
 from cqsym import poset as ps
 
@@ -93,6 +95,40 @@ def test_canonical_is_idempotent():
         assert P.canonical is P
 
 
+# --- hashing ---------------------------------------------------------------
+
+def test_labeled_copy_hashes_as_its_representative():
+    for P in _grid(2, 3):
+        Q = ps.make_poset(P.m, P.elements(), P.cover_pairs())
+        assert Q is not P and Q == P and hash(Q) == hash(P)
+        assert {P: "rep"}[Q] == "rep"
+        assert ps.antipode_key(Q) is ps.antipode_key(P)
+
+
+def test_copies_of_a_representative_are_the_representative():
+    for P in _grid(2, 2):
+        assert copy.copy(P) is P
+        assert copy.deepcopy(P) is P
+        assert pickle.loads(pickle.dumps(P)) is P
+
+
+def test_equal_labeled_posets_hash_equal():
+    covers = [(5, 2), (5, 7)]
+    P = _poset(2, [2, 5, 7], covers, {7: 1})
+    Q = _poset(2, [2, 5, 7], covers, {7: 1})
+    assert P is not Q and not P.is_canonical
+    assert P == Q and hash(P) == hash(Q)
+    assert {P: 1}[Q] == 1
+
+
+def test_equivalent_unequal_labeled_posets_are_not_equal():
+    P = _poset(2, [2, 5, 7], [(5, 2), (5, 7)], {7: 1})
+    Q = _poset(2, [1, 3, 4], [(3, 1), (3, 4)], {4: 1})
+    assert ps.equivalent(P, Q)
+    assert P != Q and P != P.canonical
+    assert hash(P) == hash(Q) == hash(P.canonical)
+
+
 # --- ideals, extensions, splits -------------------------------------------
 
 def test_ideals_golden():
@@ -125,6 +161,21 @@ def test_linear_extension_counts():
     assert len(chain.linear_extensions()) == 1
     anti = ps.antichain_poset(1, [(v, 0) for v in (1, 2, 3, 4)])
     assert len(anti.linear_extensions()) == math.factorial(4)
+
+
+def _splits_by_restriction(P):
+    full = (1 << P.n) - 1
+    return [(P.restrict(I).canonical, P.restrict(full & ~I).canonical)
+            for I in P.ideal_masks()]
+
+
+def test_splits_match_restricted_ideals_in_order():
+    for m in (1, 2):
+        for P in _grid(m, 4):
+            got, want = P.splits(), _splits_by_restriction(P)
+            assert len(got) == len(want)
+            assert all(a is c and b is d
+                       for (a, b), (c, d) in zip(got, want)), P
 
 
 def test_splits_cover_every_ideal_once():
