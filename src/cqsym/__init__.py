@@ -10,12 +10,12 @@ enumeration oracles (oracle).
 """
 
 from .combinat import (
-    check_comp, check_perm, weight, concat, reverse, rainbow_decompose,
-    rainbow_compose, refines, refinements, coarsenings, star, hat,
-    is_peak_composition, descent_composition, color_runs, peak_set,
-    peak_composition, standardize, rep_chain, conjugate, shuffles,
-    enumerate_compositions, peak_compositions, count_peak_compositions,
-    ribbon_cells, ribbon_decode, conjugate_via_diagram, ribbon_text,
+    check_comp, check_perm, weight, reverse, rainbow_decompose, refines,
+    refinements, coarsenings, star, hat, is_peak_composition,
+    descent_composition, color_runs, peak_set, peak_composition,
+    standardize, rep_chain, conjugate, shuffles, enumerate_compositions,
+    peak_compositions, count_peak_compositions, ribbon_cells, ribbon_decode,
+    conjugate_via_diagram,
 )
 from .poset import (
     Poset, PElt, make_poset, empty_poset, chain_poset, antichain_poset,

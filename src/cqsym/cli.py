@@ -4,9 +4,11 @@ Verbs cover the raw combinatorics (comp, perm), the poset Hopf algebra,
 QSym arithmetic and the maps into it, character evaluation, the
 enumeration oracles, batch verification suites, and dimension tables.
 Payloads come from --in as inline JSON, a file path, or - for stdin.
-Parse failures exit 2 and domain violations exit 3, each with a JSON
-error object naming the problem; failed verifications exit 1, and an
-unexpected internal error exits 4 with a JSON error of type "internal".
+Each verb takes only the options it reads.  Parse failures, among them
+an unknown option or one the verb does not read, exit 2 and domain
+violations exit 3, each with a JSON error object naming the problem;
+failed verifications exit 1, and an unexpected internal error exits 4
+with a JSON error of type "internal".
 """
 
 import argparse
@@ -38,8 +40,10 @@ def _positive_m(m):
 
 # Bounds on the exponential operations; larger inputs are a domain error.
 MAX_POSET_SIZE = 8        # canonicalization is factorial on antichains
-MAX_COUNT_N = 6           # poset count walks every labeled order
+MAX_COUNT_M_PLUS_N = 7    # poset count colors every labeled order m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
+MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
+MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
 
 
 def _at_most(size, limit, what):
@@ -149,8 +153,7 @@ def comp_json(alpha):
     return [[s, c] for s, c in alpha]
 
 
-def perm_json(pi):
-    return [[v, c] for v, c in pi]
+perm_json = comp_json
 
 
 def qsym_json(e):
@@ -203,11 +206,20 @@ def _require_m(args):
     return _positive_m(args.m)
 
 
+def _level_size(m, n):
+    """Number of m-colored compositions of n: m(m+1)^(n-1), one for n = 0."""
+    return m * (m + 1) ** (n - 1) if n > 0 else 1
+
+
 def cmd_comp(args):
     op = args.op
     if op in ("enumerate", "enumerate-peak"):
         m = _require_m(args)
         maxn = args.max_n if args.max_n is not None else 4
+        # level 18 is over the bound for every m; the clamp keeps a huge
+        # --max-n from building a huge integer
+        _at_most(_level_size(m, min(maxn, 18)), MAX_ENUM_LEVEL,
+                 "compositions of weight --max-n")
         comps = (cb.enumerate_compositions if op == "enumerate"
                  else cb.peak_compositions)
         return {"m": m,
@@ -268,7 +280,7 @@ def cmd_poset(args):
     if op == "count":
         m = _require_m(args)
         maxn = args.max_n if args.max_n is not None else 4
-        _at_most(maxn, MAX_COUNT_N, "--max-n")
+        _at_most(maxn, MAX_COUNT_M_PLUS_N - m, "--max-n")
         return {"m": m,
                 "rows": [{"n": n, "classes": len(ps.canonical_posets(m, n))}
                          for n in range(maxn + 1)]}
@@ -414,8 +426,14 @@ def cmd_oracle(args):
         raise ValueError("truncation level must be >= 1")
     payload = _load(args)
     if args.op == "truncate":
-        return tpoly_json(oc.truncate(parse_qsym(payload, args), N))
-    P = parse_poset(payload, args)
+        e = qs.to_monomial(parse_qsym(payload, args))
+        size = max(map(len, e.terms), default=0)
+    else:
+        P = parse_poset(payload, args)
+        size = P.n
+    _at_most((2 * N) ** size, MAX_ORACLE_CHOICES, "oracle choices (2N)^n")
+    if args.op == "truncate":
+        return tpoly_json(oc.truncate(e, N))
     if args.op == "ppartitions":
         return tpoly_json(oc.enumerate_ppartitions(P, N))
     if args.op == "enriched":
@@ -448,7 +466,7 @@ def cmd_dims(args):
     rows = []
     for n in range(1, maxn + 1):
         rows.append({"n": n,
-                     "qsym": len(cb.enumerate_compositions(m, n)),
+                     "qsym": _level_size(m, n),
                      "peak": cb.count_peak_compositions(m, n)})
     return {"m": m, "rows": rows}
 
@@ -462,80 +480,78 @@ class _Parser(argparse.ArgumentParser):
         raise ParseFailure("%s: %s" % (self.prog, message))
 
 
-def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--m", type=int, default=None)
-    common.add_argument("--max-n", dest="max_n", type=int, default=None)
-    common.add_argument("--max-N", dest="max_N", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--in", dest="infile", default=None,
-                        help="inline JSON, a file path, or - for stdin")
-    common.add_argument("--suite", default=None)
-    common.add_argument("--basis", choices=qs.BASES, default=None)
-    common.add_argument("--json-indent", dest="json_indent", type=int,
-                        default=None)
+# Each option is declared once and attached only to the verbs that read it.
+_OPTIONS = {
+    "--m": dict(type=int, default=None),
+    "--max-n": dict(dest="max_n", type=int, default=None),
+    "--max-N": dict(dest="max_N", type=int, default=None),
+    "--seed": dict(type=int, default=0),
+    "--in": dict(dest="infile", default=None,
+                 help="inline JSON, a file path, or - for stdin"),
+    "--suite": dict(default=None),
+    "--basis": dict(choices=qs.BASES, default=None),
+}
 
+
+def _build_parser():
     ap = _Parser(
         prog="cqsym",
         description="Colored quasisymmetric functions, colored labeled "
                     "posets, and their Hopf algebra maps.")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add(verb, ops, fn, extra=None):
-        p = sub.add_parser(verb, parents=[common])
+    def add(verb, ops, fn, options):
+        p = sub.add_parser(verb)
         if ops:
             p.add_argument("op", choices=ops)
-        if extra:
-            extra(p)
+        for name in options.split():
+            p.add_argument(name, **_OPTIONS[name])
         p.set_defaults(fn=fn)
+        return p
 
     add("comp", ["check", "star", "hat", "conjugate", "reverse", "rainbow",
                  "refinements", "coarsenings", "rep-chain", "enumerate",
-                 "enumerate-peak"], cmd_comp)
+                 "enumerate-peak"], cmd_comp, "--m --max-n --in")
     add("perm", ["check", "descent-comp", "peak-comp", "peak-set",
-                 "standardize", "shuffle"], cmd_perm)
+                 "standardize", "shuffle"], cmd_perm, "--m --in")
     add("poset", ["check", "canonical", "equivalent", "ideals", "extensions",
                   "product", "coproduct", "antipode", "count"], cmd_poset,
-        lambda p: p.add_argument("--route", choices=("inductive", "chains"),
-                                 default="inductive"))
+        "--m --max-n --in").add_argument(
+            "--route", choices=("inductive", "chains"), default="inductive")
     add("qsym", ["convert", "product", "coproduct", "antipode", "counit",
                  "gamma", "lambda", "theta"], cmd_qsym,
-        lambda p: p.add_argument("--route", choices=("closed", "inductive"),
-                                 default="closed"))
-    add("char", ["eval", "psi"], cmd_char,
-        lambda p: p.add_argument("name"))
+        "--m --in --basis").add_argument(
+            "--route", choices=("closed", "inductive"), default="closed")
+    add("char", ["eval", "psi"], cmd_char, "--m --in").add_argument("name")
     add("oracle", ["ppartitions", "enriched", "truncate", "split-check"],
-        cmd_oracle)
-    add("verify", None, cmd_verify)
-    add("dims", None, cmd_dims)
+        cmd_oracle, "--m --max-N --in")
+    add("verify", None, cmd_verify, "--m --max-n --max-N --seed --suite")
+    add("dims", None, cmd_dims, "--m --max-n")
     return ap
 
 
-def _emit(obj, args):
-    indent = getattr(args, "json_indent", None)
-    print(json.dumps(obj, indent=indent))
+def _emit(obj):
+    print(json.dumps(obj))
 
 
 def main(argv=None):
-    args = None
     try:
         args = _build_parser().parse_args(argv)
         out = args.fn(args)
     except ParseFailure as exc:
-        _emit({"error": {"type": "parse", "detail": str(exc)}}, args)
+        _emit({"error": {"type": "parse", "detail": str(exc)}})
         return 2
     except ValueError as exc:
-        _emit({"error": {"type": "domain", "invariant": str(exc)}}, args)
+        _emit({"error": {"type": "domain", "invariant": str(exc)}})
         return 3
     except Exception as exc:
         _emit({"error": {"type": "internal",
-                         "detail": "%s: %s" % (type(exc).__name__, exc)}},
-              args)
+                         "detail": "%s: %s" % (type(exc).__name__, exc)}})
         return 4
     code = 0
     if isinstance(out, tuple):
         out, code = out
-    _emit(out, args)
+    _emit(out)
     return code
 
 

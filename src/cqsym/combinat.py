@@ -56,16 +56,16 @@ def weight(alpha):
     return sum(size for size, _ in alpha)
 
 
-def concat(beta, gamma):
-    return tuple(beta) + tuple(gamma)
-
-
 def reverse(beta):
     return tuple(reversed(beta))
 
 
 def rainbow_decompose(alpha):
-    """Maximal constant-color runs, as a tuple of (sizes-tuple, color)."""
+    """Maximal constant-color runs, as a tuple of (sizes-tuple, color).
+
+    On a colored permutation the same scan gives (values-tuple, color)
+    runs; color_runs names that use.
+    """
     blocks = []
     for size, color in alpha:
         if blocks and blocks[-1][1] == color:
@@ -73,11 +73,6 @@ def rainbow_decompose(alpha):
         else:
             blocks.append(([size], color))
     return tuple((tuple(sizes), color) for sizes, color in blocks)
-
-
-def rainbow_compose(blocks):
-    """Inverse of rainbow_decompose."""
-    return tuple((size, color) for sizes, color in blocks for size in sizes)
 
 
 def refines(fine, coarse):
@@ -215,15 +210,7 @@ def descent_composition(pi):
     return tuple(out)
 
 
-def color_runs(pi):
-    """Maximal constant-color runs of pi, as (values-tuple, color) pairs."""
-    runs = []
-    for v, color in pi:
-        if runs and runs[-1][1] == color:
-            runs[-1][0].append(v)
-        else:
-            runs.append(([v], color))
-    return tuple((tuple(vs), color) for vs, color in runs)
+color_runs = rainbow_decompose
 
 
 def peak_set(pi):
@@ -398,16 +385,3 @@ def conjugate_via_diagram(alpha):
         return ()
     reflected = [(y, x, color) for x, y, color in ribbon_cells(alpha)]
     return ribbon_decode(reflected)
-
-
-def ribbon_text(alpha):
-    """ASCII rendering of the cycloribbon, one digit per square."""
-    cells = ribbon_cells(alpha)
-    if not cells:
-        return ""
-    xs = [x for x, _, _ in cells]
-    ys = [y for _, y, _ in cells]
-    grid = [[" "] * (max(xs) - min(xs) + 1) for _ in range(max(ys) - min(ys) + 1)]
-    for x, y, color in cells:
-        grid[max(ys) - y][x - min(xs)] = str(color)
-    return "\n".join("".join(row).rstrip() for row in grid)

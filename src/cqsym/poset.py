@@ -63,18 +63,22 @@ def _picker(idxs):
     return itemgetter(*idxs)
 
 
+def _closed_masks(rel):
+    """Masks, in increasing order, of the element sets that contain rel[i]
+    whenever they contain i: order ideals for rel = below, filters for
+    rel = above."""
+    return [mask for mask in range(1 << len(rel))
+            if not any(rel[i] & ~mask for i in _bits(mask))]
+
+
 @cache
 def _split_plan(above):
     """Ideal masks of an order structure and, per ideal, a color picker
     and closure masks for the ideal and for its complement."""
-    below = _invert(above)
     full = (1 << len(above)) - 1
-    masks = []
+    masks = _closed_masks(_invert(above))
     plan = []
-    for mask in range(full + 1):
-        if any(below[i] & ~mask for i in _bits(mask)):
-            continue
-        masks.append(mask)
+    for mask in masks:
         idxs, above_i = _sub_above(above, mask)
         rest, above_r = _sub_above(above, full & ~mask)
         plan.append((_picker(idxs), above_i, _picker(rest), above_r))
@@ -397,12 +401,8 @@ def labeled_orders(n):
     k = n - 1
     full = (1 << k) - 1
     for above in labeled_orders(k):
-        below = _invert(above)
-        downsets = [d for d in range(1 << k)
-                    if all(not (below[i] & ~d) for i in _bits(d))]
-        upsets = [u for u in range(1 << k)
-                  if all(not (above[i] & ~u) for i in _bits(u))]
-        for d in downsets:
+        upsets = _closed_masks(above)
+        for d in _closed_masks(_invert(above)):
             allowed = full
             for a in _bits(d):
                 allowed &= above[a]

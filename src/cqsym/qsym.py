@@ -197,6 +197,11 @@ def to_fundamental(e):
 
 # --- product --------------------------------------------------------------
 
+def _stat(basis):
+    """The chain statistic that indexes basis: descents for F, peaks for K."""
+    return cb.descent_composition if basis == "F" else cb.peak_composition
+
+
 def _shift(pi, offset):
     return tuple((v + offset, c) for v, c in pi)
 
@@ -223,10 +228,11 @@ def multiply(a, b):
     if a.m != b.m:
         raise ValueError("operands must share the same number of colors")
     if a.basis == "K" and b.basis == "K":
-        basis, stat = "K", cb.peak_composition
+        basis = "K"
     else:
         a, b = to_fundamental(a), to_fundamental(b)
-        basis, stat = "F", cb.descent_composition
+        basis = "F"
+    stat = _stat(basis)
     out = {}
     for alpha, ca in a.terms.items():
         for beta, cb_ in b.terms.items():
@@ -254,13 +260,11 @@ def coproduct(e):
             for pair in deconcats(alpha):
                 iadd(out, pair, c)
         return out
-    stat = cb.descent_composition if e.basis == "F" else cb.peak_composition
+    stat = _stat(e.basis)
     for alpha, c in e.terms.items():
         pi = cb.rep_chain(alpha)
         for i in range(len(pi) + 1):
-            left = stat(pi[:i]) if i else ()
-            right = stat(pi[i:]) if i < len(pi) else ()
-            iadd(out, (left, right), c)
+            iadd(out, (stat(pi[:i]), stat(pi[i:])), c)
     return out
 
 
@@ -274,22 +278,19 @@ def antipode(e):
     """Basis-preserving antipode.
 
     M: (-1)^length(alpha) times the sum of reversed coarsenings.
-    F: (-1)^n F over the conjugate composition.
-    K: (-1)^n K over the peak composition of the reversed chain.
+    F and K: (-1)^n times the basis element at the descent (resp. peak)
+    composition of the reversed representative chain; for F that is the
+    conjugate composition.
     """
     out = {}
     if e.basis == "M":
         for alpha, c in e.terms.items():
             iadd_scaled(out, antipode_m_key(alpha), c)
-    elif e.basis == "F":
-        for alpha, c in e.terms.items():
-            sign = -c if cb.weight(alpha) % 2 else c
-            iadd(out, cb.conjugate(alpha), sign)
     else:
+        stat = _stat(e.basis)
         for alpha, c in e.terms.items():
             sign = -c if cb.weight(alpha) % 2 else c
-            rev = tuple(reversed(cb.rep_chain(alpha)))
-            iadd(out, cb.peak_composition(rev), sign)
+            iadd(out, stat(cb.rep_chain(alpha)[::-1]), sign)
     return QElt(e.m, e.basis, out)
 
 
@@ -342,12 +343,13 @@ def peak_projection(e):
 
 
 @cache
-def _extension_gf(c, basis, stat):
-    """Sum of the basis element at stat(pi) over linear extensions pi.
+def _extension_gf(c, basis):
+    """Sum of the basis element at _stat(basis)(pi) over linear extensions pi.
 
     Depends only on the equivalence class, so callers pass the canonical
     form c and the result is memoized on it.
     """
+    stat = _stat(basis)
     out = {}
     for pi in c.linear_extensions():
         iadd(out, stat(pi), 1)
@@ -359,7 +361,7 @@ def ppartition_gf(P):
 
     Sums F at the descent composition of every linear extension.
     """
-    return _extension_gf(P.canonical, "F", cb.descent_composition)
+    return _extension_gf(P.canonical, "F")
 
 
 def enriched_gf(P):
@@ -368,7 +370,7 @@ def enriched_gf(P):
     Sums K at the peak composition of every linear extension; equals
     peak_projection(ppartition_gf(P)).
     """
-    return _extension_gf(P.canonical, "K", cb.peak_composition)
+    return _extension_gf(P.canonical, "K")
 
 
 # --- exact rank, for the dimension table ----------------------------------

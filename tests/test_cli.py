@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -309,6 +310,14 @@ def test_dims_golden():
     assert [r["peak"] for r in out["rows"]] == [2, 4, 10, 24, 58]
 
 
+def test_dims_past_the_reach_of_enumeration():
+    start = time.perf_counter()
+    code, out = _run("dims", "--m", "3", "--max-n", "13")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out["rows"][-1]["qsym"] == 3 * 4 ** 12 == 50331648
+
+
 # --- error handling -------------------------------------------------------
 
 def test_invalid_json_exits_2():
@@ -376,8 +385,16 @@ def test_payload_m_below_one_exits_3(argv):
     assert out == {"error": {"type": "domain", "invariant": "m must be >= 1"}}
 
 
-@pytest.mark.parametrize("argv", [("comp",), ("dims", "--m", "x")],
-                         ids=["missing-op", "bad-int"])
+@pytest.mark.parametrize("argv", [
+    ("comp",),
+    ("dims", "--m", "x"),
+    # an option the verb does not read
+    ("perm", "check", "--suite", "x", "--in", '{"m":1,"perm":[[1,0]]}'),
+    ("verify", "--suite", "dimension-counts", "--m", "1", "--basis", "F"),
+    ("dims", "--m", "2", "--in", "{}"),
+    ("dims", "--m", "2", "--json-indent", "2"),
+], ids=["missing-op", "bad-int", "perm-suite", "verify-basis", "dims-in",
+        "json-indent"])
 def test_argument_errors_exit_2_with_json(argv, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -387,7 +404,10 @@ def test_argument_errors_exit_2_with_json(argv, capsys):
 
 
 _NINE = {"m": 1, "elements": [[v, 0] for v in range(1, 10)]}
+_EIGHT = {"m": 1, "elements": [[v, 0] for v in range(1, 9)]}
 _FIVE = {"m": 1, "elements": [[v, 0] for v in range(1, 6)]}
+_ELEVEN_PARTS = {"m": 1, "basis": "M",
+                 "terms": [{"coeff": 1, "comp": [[1, 0]] * 11}]}
 
 
 @pytest.mark.parametrize("argv, invariant", [
@@ -401,8 +421,18 @@ _FIVE = {"m": 1, "elements": [[v, 0] for v in range(1, 6)]}
      "poset size must be <= 8"),
     (("poset", "product", "--in", _payload({"first": _FIVE, "second": _FIVE})),
      "poset size must be <= 8"),
+    (("poset", "count", "--m", "3", "--max-n", "5"), "--max-n must be <= 4"),
+    (("comp", "enumerate", "--m", "3", "--max-n", "9"),
+     "compositions of weight --max-n must be <= 65536"),
+    (("comp", "enumerate-peak", "--m", "1", "--max-n", "9" * 30),
+     "compositions of weight --max-n must be <= 65536"),
+    (("oracle", "enriched", "--max-N", "3", "--in", _payload(_EIGHT)),
+     "oracle choices (2N)^n must be <= 1048576"),
+    (("oracle", "truncate", "--max-N", "2", "--in", _payload(_ELEVEN_PARTS)),
+     "oracle choices (2N)^n must be <= 1048576"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
-        "product-size"])
+        "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
+        "oracle", "oracle-truncate"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -420,6 +450,13 @@ def test_bounds_admit_their_limits():
     code, out = _run("comp", "refinements", "--in",
                      _payload({"m": 1, "comp": [[16, 0]]}))
     assert code == 0 and len(out["comps"]) == 2 ** 15
+    code, out = _run("poset", "count", "--m", "3", "--max-n", "4")
+    assert code == 0 and len(out["rows"]) == 5
+    code, out = _run("comp", "enumerate", "--m", "3", "--max-n", "8")
+    assert code == 0 and len(out["rows"][-1]["comps"]) == 3 * 4 ** 7
+    code, out = _run("oracle", "enriched", "--max-N", "2", "--in",
+                     _payload(_EIGHT))
+    assert code == 0 and out["terms"]
 
 
 # --- the installed entry point --------------------------------------------
