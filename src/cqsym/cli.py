@@ -44,11 +44,33 @@ MAX_COUNT_M_PLUS_N = 7    # poset count colors every labeled order m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
+MAX_EXPANSION = 1 << 16   # terms of a payload rewritten in the M or F basis
 
 
 def _at_most(size, limit, what):
     if size > limit:
         raise ValueError("%s must be <= %d" % (what, limit))
+
+
+def _bound_rewrite(e, target):
+    """Refuse e if rewriting it in basis target ("M" or "F") is too large.
+
+    Counted before converting, per key of weight w and length l: an F key
+    in M, or an M key in F, has 2^(w-l) refinements; a K key over b
+    rainbow blocks scans 2^(w-b) M candidates, and each has at most
+    2^(w-b) refinements on the way on to F.
+    """
+    size = 0
+    for alpha in e.terms:
+        w = cb.weight(alpha)
+        if e.basis == "K":
+            steps = w - len(cb.rainbow_decompose(alpha))
+            size += 1 << (2 * steps if target == "F" else steps)
+        elif e.basis != target:
+            size += 1 << (w - len(alpha))
+        else:
+            size += 1
+    _at_most(size, MAX_EXPANSION, "terms in the %s expansion" % target)
 
 
 # --- payload parsing ------------------------------------------------------
@@ -327,6 +349,9 @@ def cmd_qsym(args):
     if op == "product":
         first = parse_qsym(_sub_payload(payload, "first"), args)
         second = parse_qsym(_sub_payload(payload, "second"), args)
+        if first.basis != "K" or second.basis != "K":
+            _bound_rewrite(first, "F")
+            _bound_rewrite(second, "F")
         return qsym_json(qs.multiply(first, second))
     if op in ("gamma", "lambda"):
         P = parse_poset(payload, args).canonical
@@ -338,6 +363,8 @@ def cmd_qsym(args):
         _expect(target is not None, "--basis selects the target basis")
         if target == e.basis:
             return qsym_json(e)
+        if target != "K":
+            _bound_rewrite(e, target)
         if target == "M":
             return qsym_json(qs.to_monomial(e))
         if target == "F":
@@ -348,11 +375,13 @@ def cmd_qsym(args):
         return qsym_tensor_json(e.m, e.basis, qs.coproduct(e))
     if op == "antipode":
         if args.route == "inductive":
+            _bound_rewrite(e, "M")
             return qsym_json(qs.antipode_inductive(e))
         return qsym_json(qs.antipode(e))
     if op == "counit":
         return {"m": e.m, "value": coeff_to_json(qs.counit(e))}
     if op == "theta":
+        _bound_rewrite(e, "F")
         return qsym_json(qs.peak_projection(qs.to_fundamental(e)))
     raise ParseFailure("unknown qsym operation %r" % op)
 
@@ -426,7 +455,9 @@ def cmd_oracle(args):
         raise ValueError("truncation level must be >= 1")
     payload = _load(args)
     if args.op == "truncate":
-        e = qs.to_monomial(parse_qsym(payload, args))
+        e = parse_qsym(payload, args)
+        _bound_rewrite(e, "M")
+        e = qs.to_monomial(e)
         size = max(map(len, e.terms), default=0)
     else:
         P = parse_poset(payload, args)
@@ -447,7 +478,7 @@ def cmd_oracle(args):
 # --- verify and dims verbs -----------------------------------------------
 
 def cmd_verify(args):
-    from .verify import SUITES
+    from .verify import SUITES, cache_stats
     name = args.suite
     _expect(name is not None, "--suite NAME is required; one of %s"
             % ", ".join(sorted(SUITES)))
@@ -455,8 +486,13 @@ def cmd_verify(args):
             % (name, ", ".join(sorted(SUITES))))
     m = _positive_m(args.m if args.m is not None else 2)
     checks = SUITES[name](m, args.max_n, args.max_N, args.seed)
+    if not args.stats:
+        for c in checks:
+            del c["seconds"]
     ok = all(c["ok"] for c in checks)
     report = {"suite": name, "m": m, "checks": checks, "ok": ok}
+    if args.stats:
+        report["stats"] = {"caches": cache_stats()}
     return report, (0 if ok else 1)
 
 
@@ -489,6 +525,8 @@ _OPTIONS = {
     "--in": dict(dest="infile", default=None,
                  help="inline JSON, a file path, or - for stdin"),
     "--suite": dict(default=None),
+    "--stats": dict(action="store_true",
+                    help="add per-check seconds and memo cache statistics"),
     "--basis": dict(choices=qs.BASES, default=None),
 }
 
@@ -525,7 +563,8 @@ def _build_parser():
     add("char", ["eval", "psi"], cmd_char, "--m --in").add_argument("name")
     add("oracle", ["ppartitions", "enriched", "truncate", "split-check"],
         cmd_oracle, "--m --max-N --in")
-    add("verify", None, cmd_verify, "--m --max-n --max-N --seed --suite")
+    add("verify", None, cmd_verify,
+        "--m --max-n --max-N --seed --suite --stats")
     add("dims", None, cmd_dims, "--m --max-n")
     return ap
 

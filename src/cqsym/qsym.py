@@ -13,6 +13,10 @@ peak composition, the two chains are shuffled on disjoint values, and
 the resulting descent/peak compositions are collected.  The antipodes
 are the closed forms: coarsen-and-reverse with sign on M, conjugation
 with sign on F, reversal of a representative chain on K.
+
+The F/K product of two keys and the F/K cuts of one key are memoized
+per key.  The cached maps and tuples are shared, so callers only read
+them and never mutate them.
 """
 
 from functools import cache
@@ -206,11 +210,14 @@ def _shift(pi, offset):
     return tuple((v + offset, c) for v, c in pi)
 
 
-def _mul_keys(alpha, beta, stat):
-    """Product of two basis keys via chain shuffles, as a sparse map.
+@cache
+def _mul_keys(alpha, beta, basis):
+    """Product of two F (or two K) basis keys via chain shuffles.
 
-    stat is descent_composition for F and peak_composition for K.
+    Memoized per key pair; the sparse map is shared, so callers only
+    read it.
     """
+    stat = _stat(basis)
     sigma = cb.rep_chain(alpha)
     tau = _shift(cb.rep_chain(beta), cb.weight(alpha))
     out = {}
@@ -232,11 +239,10 @@ def multiply(a, b):
     else:
         a, b = to_fundamental(a), to_fundamental(b)
         basis = "F"
-    stat = _stat(basis)
     out = {}
     for alpha, ca in a.terms.items():
         for beta, cb_ in b.terms.items():
-            iadd_scaled(out, _mul_keys(alpha, beta, stat), ca * cb_)
+            iadd_scaled(out, _mul_keys(alpha, beta, basis), ca * cb_)
     return QElt(a.m, basis, out)
 
 
@@ -255,17 +261,25 @@ def coproduct(e):
     peak) compositions.
     """
     out = {}
-    if e.basis == "M":
-        for alpha, c in e.terms.items():
-            for pair in deconcats(alpha):
-                iadd(out, pair, c)
-        return out
-    stat = _stat(e.basis)
     for alpha, c in e.terms.items():
-        pi = cb.rep_chain(alpha)
-        for i in range(len(pi) + 1):
-            iadd(out, (stat(pi[:i]), stat(pi[i:])), c)
+        if e.basis == "M":
+            cuts = deconcats(alpha)
+        else:
+            cuts = _cut_keys(alpha, e.basis)
+        for pair in cuts:
+            iadd(out, pair, c)
     return out
+
+
+@cache
+def _cut_keys(alpha, basis):
+    """(left, right) keys of every cut of alpha's representative chain.
+
+    Memoized per key, like _mul_keys; shortest left half first.
+    """
+    stat = _stat(basis)
+    pi = cb.rep_chain(alpha)
+    return tuple((stat(pi[:i]), stat(pi[i:])) for i in range(len(pi) + 1))
 
 
 def counit(e):

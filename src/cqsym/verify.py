@@ -2,11 +2,14 @@
 
 Each suite takes (m, max_n, max_N, seed), with None selecting its default
 grid, and returns one report per check: the check's name, whether it
-held, how many cases it covered, and a replayable JSON payload of the
-first counterexample.  A check that covered no cases does not pass.
+held, how many cases it covered, a replayable JSON payload of the first
+counterexample, and its wall time in seconds.  A check that covered no
+cases does not pass.
 """
 
 import random
+import sys
+import time
 
 from . import characters as ch
 from . import combinat as cb
@@ -18,14 +21,27 @@ from .terms import iadd
 
 
 def _scan(name, items, test, describe):
-    checked = 0
+    t0 = time.perf_counter()
+    checked, bad = 0, None
     for it in items:
         checked += 1
         if not test(it):
-            return {"name": name, "ok": False, "checked": checked,
-                    "counterexample": describe(it)}
-    return {"name": name, "ok": checked > 0, "checked": checked,
-            "counterexample": None}
+            bad = describe(it)
+            break
+    return {"name": name, "ok": bad is None and checked > 0,
+            "checked": checked, "counterexample": bad,
+            "seconds": round(time.perf_counter() - t0, 6)}
+
+
+def cache_stats():
+    """cache_info() of every functools cache in cqsym, by module.function."""
+    out = {}
+    for mod_name, mod in sorted(sys.modules.items()):
+        if mod_name.startswith("cqsym."):
+            for name, fn in sorted(vars(mod).items()):
+                if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
+                    out[mod_name[6:] + "." + name] = fn.cache_info()._asdict()
+    return out
 
 
 def _poset_grid(m, max_n):

@@ -289,6 +289,23 @@ def test_verify_suite_passes():
     assert all(c["checked"] > 0 for c in out["checks"])
 
 
+def test_verify_stats_adds_seconds_and_cache_info():
+    argv = ["verify", "--suite", "lambda-morphism", "--m", "1", "--max-n", "3"]
+    code, plain = _run(*argv)
+    code_s, out = _run(*argv, "--stats")
+    assert code == code_s == 0
+    caches = out.pop("stats")["caches"]
+    for check in out["checks"]:
+        assert isinstance(check.pop("seconds"), float)
+    assert out == plain
+    assert {"qsym._mul_keys", "qsym._cut_keys", "qsym._extension_gf",
+            "poset._union"} <= set(caches)
+    for info in caches.values():
+        assert set(info) == {"hits", "misses", "maxsize", "currsize"}
+    assert caches["qsym._mul_keys"]["currsize"] > 0
+    assert caches["qsym._cut_keys"]["currsize"] > 0
+
+
 def test_verify_unknown_suite_is_a_parse_error():
     code, out = _run("verify", "--suite", "no-such-suite")
     assert code == 2
@@ -410,6 +427,15 @@ _ELEVEN_PARTS = {"m": 1, "basis": "M",
                  "terms": [{"coeff": 1, "comp": [[1, 0]] * 11}]}
 
 
+def _one_part(basis, w):
+    return {"m": 1, "basis": basis, "terms": [{"coeff": 1, "comp": [[w, 0]]}]}
+
+
+_F18 = _one_part("F", 18)    # 2^17 refinements in M
+_M18 = _one_part("M", 18)    # 2^17 refinements in F
+_K10 = _one_part("K", 10)    # up to 4^9 terms on the way into F
+
+
 @pytest.mark.parametrize("argv, invariant", [
     (("poset", "count", "--m", "1", "--max-n", "7"), "--max-n must be <= 6"),
     (("comp", "refinements", "--in", '{"m": 1, "comp": [[17, 0]]}'),
@@ -430,9 +456,21 @@ _ELEVEN_PARTS = {"m": 1, "basis": "M",
      "oracle choices (2N)^n must be <= 1048576"),
     (("oracle", "truncate", "--max-N", "2", "--in", _payload(_ELEVEN_PARTS)),
      "oracle choices (2N)^n must be <= 1048576"),
+    (("qsym", "convert", "--basis", "M", "--in", _payload(_F18)),
+     "terms in the M expansion must be <= 65536"),
+    (("qsym", "product", "--in",
+      _payload({"first": _K10, "second": _one_part("M", 1)})),
+     "terms in the F expansion must be <= 65536"),
+    (("qsym", "theta", "--in", _payload(_M18)),
+     "terms in the F expansion must be <= 65536"),
+    (("qsym", "antipode", "--route", "inductive", "--in", _payload(_F18)),
+     "terms in the M expansion must be <= 65536"),
+    (("oracle", "truncate", "--max-N", "1", "--in", _payload(_F18)),
+     "terms in the M expansion must be <= 65536"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
-        "oracle", "oracle-truncate"])
+        "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
+        "qsym-theta", "qsym-antipode-inductive", "oracle-truncate-expansion"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -457,6 +495,13 @@ def test_bounds_admit_their_limits():
     code, out = _run("oracle", "enriched", "--max-N", "2", "--in",
                      _payload(_EIGHT))
     assert code == 0 and out["terms"]
+    # 4^8 = 2^16 is the bound's count for K_(9) into F; K * K needs none
+    code, out = _run("qsym", "convert", "--basis", "F", "--in",
+                     _payload(_one_part("K", 9)))
+    assert code == 0 and out["basis"] == "F" and out["terms"]
+    code, out = _run("qsym", "product", "--in",
+                     _payload({"first": _K10, "second": _one_part("K", 1)}))
+    assert code == 0 and out["basis"] == "K" and out["terms"]
 
 
 # --- the installed entry point --------------------------------------------

@@ -123,6 +123,51 @@ def test_one_is_the_unit():
     assert qs.multiply(one, e) == e == qs.multiply(e, one)
 
 
+def _quasi_shuffle(a, b):
+    """M_a * M_b as the colored quasi-shuffle: only same-color parts merge."""
+    if not a or not b:
+        return {a + b: 1}
+    out = {}
+    (s, i), (t, j) = a[0], b[0]
+    heads = [(a[0], a[1:], b), (b[0], a, b[1:])]
+    if i == j:
+        heads.append(((s + t, i), a[1:], b[1:]))
+    for head, rest_a, rest_b in heads:
+        for key, c in _quasi_shuffle(rest_a, rest_b).items():
+            out[(head,) + key] = out.get((head,) + key, 0) + c
+    return out
+
+
+def test_product_matches_the_quasi_shuffle_route():
+    # the product shuffles representative chains in F; the quasi-shuffle
+    # never leaves M, so the two routes share no code past the keys
+    for m in (1, 2):
+        comps = list(_comps(m, 4))
+        for a in comps:
+            for b in comps:
+                if cb.weight(a) + cb.weight(b) <= 4:
+                    prod = qs.to_monomial(qs.multiply(_basis(m, "M", a),
+                                                      _basis(m, "M", b)))
+                    assert prod.terms == _quasi_shuffle(a, b), (a, b)
+
+
+def test_memoized_products_survive_callers_mutating_results():
+    # two terms on the left, so a product accumulated into a shared
+    # per-key map would show on the repeat
+    for letter, a, a2, b in [("F", ((1, 0), (2, 1)), ((3, 0),), ((2, 0),)),
+                             ("K", ((2, 0),), ((3, 1),), ((2, 1), (1, 0)))]:
+        x = _basis(2, letter, a) + _basis(2, letter, a2)
+        y = _basis(2, letter, b)
+        first = qs.multiply(x, y)
+        want = dict(first.terms)
+        for key in list(first.terms):
+            first.terms[key] += 7
+        first.terms[((9, 0),)] = 1
+        assert qs.multiply(x, y).terms == want
+        qs._mul_keys.cache_clear()
+        assert qs.multiply(x, y).terms == want
+
+
 # --- coproduct and counit -------------------------------------------------
 
 def test_monomial_coproduct_is_deconcatenation():
@@ -145,6 +190,40 @@ def test_coproduct_counit_axiom():
                 if not beta:
                     right = right + _basis(m, "M", gamma).scale(c)
             assert left == _basis(m, "M", alpha) == right
+
+
+def _tensor_to_monomial(m, basis, pairs):
+    out = {}
+    for (a, b), c in pairs.items():
+        left = qs.to_monomial(_basis(m, basis, a))
+        right = qs.to_monomial(_basis(m, basis, b))
+        for k1, c1 in left.terms.items():
+            for k2, c2 in right.terms.items():
+                key = (k1, k2)
+                out[key] = out.get(key, 0) + c * c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def test_fundamental_and_peak_coproducts_match_the_monomial_route():
+    # cutting a representative chain, then expanding both halves in M,
+    # must equal deconcatenating the M expansion
+    for m in (1, 2):
+        for n in range(5):
+            keys = [("F", a) for a in cb.enumerate_compositions(m, n)]
+            keys += [("K", a) for a in cb.peak_compositions(m, n)]
+            for letter, alpha in keys:
+                e = _basis(m, letter, alpha)
+                assert _tensor_to_monomial(m, letter, qs.coproduct(e)) == \
+                    qs.coproduct(qs.to_monomial(e)), (letter, alpha)
+
+
+def test_memoized_cuts_survive_callers_mutating_results():
+    e = _basis(2, "F", ((2, 1), (1, 0)))
+    want = dict(qs.coproduct(e))
+    qs.coproduct(e).clear()
+    assert qs.coproduct(e) == want
+    qs._cut_keys.cache_clear()
+    assert qs.coproduct(e) == want
 
 
 def test_counit():
