@@ -13,6 +13,7 @@ with a JSON error of type "internal".
 
 import argparse
 import json
+import math
 import sys
 
 from . import characters as ch
@@ -44,7 +45,7 @@ MAX_COUNT_M_PLUS_N = 7    # poset count colors every labeled order m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
-MAX_EXPANSION = 1 << 16   # terms of a payload rewritten in the M or F basis
+MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite; words of perm shuffle
 
 
 def _at_most(size, limit, what):
@@ -279,6 +280,8 @@ def cmd_perm(args):
         m = _payload_m(payload, args)
         _, left = parse_perm(dict(payload, m=m), args, key="left")
         _, right = parse_perm(dict(payload, m=m), args, key="right")
+        _at_most(math.comb(len(left) + len(right), len(left)), MAX_EXPANSION,
+                 "shuffles C(a+b, a)")
         words = sorted(cb.shuffles(left, right))
         return {"m": m, "perms": [perm_json(w) for w in words]}
     m, pi = parse_perm(payload, args)

@@ -1,14 +1,22 @@
 """Brute-force enumeration oracles over truncated alphabets.
 
-Everything here counts maps directly, with no algebra: colored P-partitions
-and their enriched variant into the first N index levels, plus exact
-truncation of QSym elements to the same variables.  Agreement with the
-generating functions computed in qsym.py is the differential test the rest
-of the package leans on.
+Everything here counts maps directly, with no algebra and no
+canonicalization: colored P-partitions and their enriched variant into the
+first N index levels, plus exact truncation of QSym elements to the same
+variables.  Agreement with the generating functions computed in qsym.py is
+the differential test the rest of the package leans on.
+
+The two enumerators cost one step per counted map and O(|below(b)|) work
+per placed element b, whose least admissible level is read off what lies
+below it.  Leaves are counted as dense exponent vectors, one monomial built
+per distinct vector.
 """
 
+from bisect import bisect_left
+from itertools import compress
+
 from . import qsym as qs
-from .terms import iadd
+from .terms import iadd, iadd_scaled
 
 
 class TPoly:
@@ -38,15 +46,20 @@ class TPoly:
 
     __hash__ = None
 
+    def _same_m(self, other):
+        if self.m != other.m:
+            raise ValueError("cannot combine polynomials in %d and %d colors"
+                             % (self.m, other.m))
+
     def __add__(self, other):
-        assert self.m == other.m
+        self._same_m(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             iadd(out, key, c)
         return TPoly(max(self.N, other.N), self.m, out)
 
     def __mul__(self, other):
-        assert self.m == other.m
+        self._same_m(other)
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -77,17 +90,23 @@ class TPoly:
         return " + ".join(bits) if bits else "0"
 
 
-def _topo(P):
-    # indices sorted by how much lies below them; valid since below sets nest
-    return sorted(range(P.n), key=lambda i: bin(P.below[i]).count("1"))
+def _need_levels(N):
+    if N < 1:
+        raise ValueError("N must be >= 1, got %r" % (N,))
 
 
-def _monomial(levels, colors):
-    cnt = {}
-    for i, s in enumerate(levels):
-        k = (s, colors[i])
-        cnt[k] = cnt.get(k, 0) + 1
-    return tuple(sorted(cnt.items()))
+def _order(P, weight):
+    # indices by how much lies below them (valid since below sets nest), and
+    # for each the pairs (i, weight(i, b)) over everything below it
+    topo = sorted(range(P.n), key=lambda i: bin(P.below[i]).count("1"))
+    return topo, [[(i, weight(i, b)) for i in range(P.n)
+                   if P.below[b] >> i & 1] for b in topo]
+
+
+def _tally_terms(tally, N, m):
+    # slot (level - 1) * m + color, so slot order is the sorted key order
+    var = [(s, j) for s in range(1, N + 1) for j in range(m)]
+    return {tuple(compress(zip(var, vec), vec)): c for vec, c in tally.items()}
 
 
 def enumerate_ppartitions(P, N):
@@ -97,36 +116,40 @@ def enumerate_ppartitions(P, N):
     every order relation the images must weakly increase in the (level,
     color) order, strictly when the values invert.  Relations are read off
     the transitive closure.
+
+    A lower i needs level(b) >= level(i), plus one when i has the larger
+    color, or the same color and the larger value; every level from the
+    largest such bound to N is admissible.  One step per counted map.
     """
-    assert N >= 1
-    colors, below = P.colors, P.below
-    topo = _topo(P)
-    levels = [0] * P.n
-    out = {}
+    _need_levels(N)
+    m, n, colors = P.m, P.n, P.colors
+    topo, pairs = _order(P, lambda i, b: int(
+        colors[i] > colors[b] or (colors[i] == colors[b] and i > b)))
+    levels = [0] * n
+    cnt = [0] * (N * m)
+    tally = {}
 
     def place(t):
-        if t == P.n:
-            iadd(out, _monomial(levels, colors), 1)
+        if t == n:
+            vec = tuple(cnt)
+            tally[vec] = tally.get(vec, 0) + 1
             return
         b = topo[t]
-        kb = colors[b]
-        for s in range(1, N + 1):
-            ok = True
-            rest = below[b]
-            while rest:
-                bit = rest & -rest
-                i = bit.bit_length() - 1
-                rest ^= bit
-                ka = (levels[i], colors[i])
-                if ka > (s, kb) or (ka == (s, kb) and i > b):
-                    ok = False
-                    break
-            if ok:
-                levels[b] = s
-                place(t + 1)
+        lo = 1
+        for i, bump in pairs[t]:
+            s = levels[i] + bump
+            if s > lo:
+                lo = s
+        slot = (lo - 1) * m + colors[b]
+        for s in range(lo, N + 1):
+            levels[b] = s
+            cnt[slot] += 1
+            place(t + 1)
+            cnt[slot] -= 1
+            slot += m
 
     place(0)
-    return TPoly(N, P.m, out)
+    return TPoly(N, m, _tally_terms(tally, N, m))
 
 
 def enumerate_enriched(P, N):
@@ -136,40 +159,43 @@ def enumerate_enriched(P, N):
     with minus before plus.  When values run with the order, ties must be
     positive; when they invert, ties must be negative.  The monomial
     forgets the signs.
+
+    Signed letters rank as (level * m + color) * 2 + sign.  A lower i of
+    rank r needs rank(b) >= r if the tie sign (plus iff i < b) is r's sign,
+    else r + 1; every rank of b's color from the largest bound on is
+    admissible.  One step per counted map.
     """
-    assert N >= 1
-    colors, below = P.colors, P.below
-    topo = _topo(P)
-    chosen = [None] * P.n
-    out = {}
+    _need_levels(N)
+    m, n, colors = P.m, P.n, P.colors
+    topo, pairs = _order(P, lambda i, b: int(i < b))
+    ranks = [0] * n
+    cnt = [0] * (N * m)
+    cands = [[(s * m + colors[b]) * 2 + sg
+              for s in range(1, N + 1) for sg in (0, 1)] for b in topo]
+    tally = {}
 
     def place(t):
-        if t == P.n:
-            iadd(out, _monomial([s for s, _ in chosen], colors), 1)
+        if t == n:
+            vec = tuple(cnt)
+            tally[vec] = tally.get(vec, 0) + 1
             return
         b = topo[t]
-        kb = colors[b]
-        for s in range(1, N + 1):
-            for sg in (0, 1):
-                key_b = (s, kb, sg)
-                ok = True
-                rest = below[b]
-                while rest:
-                    bit = rest & -rest
-                    i = bit.bit_length() - 1
-                    rest ^= bit
-                    sa, sga = chosen[i]
-                    key_a = (sa, colors[i], sga)
-                    if key_a > key_b or (key_a == key_b
-                                         and sg != (1 if i < b else 0)):
-                        ok = False
-                        break
-                if ok:
-                    chosen[b] = (s, sg)
-                    place(t + 1)
+        lo = 0
+        for i, tie in pairs[t]:
+            r = ranks[i]
+            r += (r ^ tie) & 1
+            if r > lo:
+                lo = r
+        row = cands[t]
+        for r in row[bisect_left(row, lo):]:
+            ranks[b] = r
+            slot = (r >> 1) - m
+            cnt[slot] += 1
+            place(t + 1)
+            cnt[slot] -= 1
 
     place(0)
-    return TPoly(N, P.m, out)
+    return TPoly(N, m, _tally_terms(tally, N, m))
 
 
 def _embeddings(alpha, N):
@@ -191,7 +217,7 @@ def _embeddings(alpha, N):
 
 def truncate(e, N):
     """Exact restriction of a QSym element to first indices 1..N."""
-    assert N >= 1
+    _need_levels(N)
     out = {}
     for alpha, c in qs.to_monomial(e).terms.items():
         for key in _embeddings(alpha, N):
@@ -207,14 +233,14 @@ def split_alphabet_check(P, N):
     of the complement on the high levels.  Checked by total count and then
     coefficientwise.
     """
-    assert N >= 1
+    _need_levels(N)
     big = enumerate_ppartitions(P, 2 * N)
     full = (1 << P.n) - 1
-    acc = TPoly(2 * N, P.m, {})
+    acc = {}
     total = 0
     for mask in P.ideal_masks():
         lo = enumerate_ppartitions(P.restrict(mask), N)
         hi = enumerate_ppartitions(P.restrict(full & ~mask), N)
         total += lo.total() * hi.total()
-        acc = acc + lo * hi.shifted(N)
-    return big.total() == total and acc == big
+        iadd_scaled(acc, (lo * hi.shifted(N)).terms)
+    return big.total() == total and acc == big.terms

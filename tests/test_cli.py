@@ -436,6 +436,11 @@ _M18 = _one_part("M", 18)    # 2^17 refinements in F
 _K10 = _one_part("K", 10)    # up to 4^9 terms on the way into F
 
 
+def _shuffle_pair(a, b):
+    return {"m": 1, "left": [[v, 0] for v in range(1, a + 1)],
+            "right": [[v, 0] for v in range(a + 1, a + b + 1)]}
+
+
 @pytest.mark.parametrize("argv, invariant", [
     (("poset", "count", "--m", "1", "--max-n", "7"), "--max-n must be <= 6"),
     (("comp", "refinements", "--in", '{"m": 1, "comp": [[17, 0]]}'),
@@ -467,10 +472,13 @@ _K10 = _one_part("K", 10)    # up to 4^9 terms on the way into F
      "terms in the M expansion must be <= 65536"),
     (("oracle", "truncate", "--max-N", "1", "--in", _payload(_F18)),
      "terms in the M expansion must be <= 65536"),
+    (("perm", "shuffle", "--in", _payload(_shuffle_pair(10, 10))),
+     "shuffles C(a+b, a) must be <= 65536"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
         "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
-        "qsym-theta", "qsym-antipode-inductive", "oracle-truncate-expansion"])
+        "qsym-theta", "qsym-antipode-inductive", "oracle-truncate-expansion",
+        "perm-shuffle"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -502,6 +510,9 @@ def test_bounds_admit_their_limits():
     code, out = _run("qsym", "product", "--in",
                      _payload({"first": _K10, "second": _one_part("K", 1)}))
     assert code == 0 and out["basis"] == "K" and out["terms"]
+    # C(18, 9) = 48,620 shuffles of 9 + 9 letters
+    code, out = _run("perm", "shuffle", "--in", _payload(_shuffle_pair(9, 9)))
+    assert code == 0 and len(out["perms"]) == 48620
 
 
 # --- the installed entry point --------------------------------------------

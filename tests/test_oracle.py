@@ -3,10 +3,13 @@ the algebraic generating functions."""
 
 import itertools
 
+import pytest
+
 from cqsym import combinat as cb
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from cqsym.terms import iadd
 
 
 def _chain(m, letters):
@@ -27,6 +30,131 @@ def _posets(m, max_n):
             yield P
 
 
+# --- the check-every-level reference kernels ------------------------------
+# The enumerators as first written: each candidate level of each element is
+# tested against everything below it, and each leaf builds its monomial.
+# The library kernels must count the same maps into the same terms, first
+# visited in the same order.
+
+def _ref_topo(P):
+    return sorted(range(P.n), key=lambda i: bin(P.below[i]).count("1"))
+
+
+def _ref_monomial(levels, colors):
+    cnt = {}
+    for i, s in enumerate(levels):
+        k = (s, colors[i])
+        cnt[k] = cnt.get(k, 0) + 1
+    return tuple(sorted(cnt.items()))
+
+
+def reference_ppartitions(P, N):
+    colors, below = P.colors, P.below
+    topo = _ref_topo(P)
+    levels = [0] * P.n
+    out = {}
+
+    def place(t):
+        if t == P.n:
+            iadd(out, _ref_monomial(levels, colors), 1)
+            return
+        b = topo[t]
+        kb = colors[b]
+        for s in range(1, N + 1):
+            ok = True
+            rest = below[b]
+            while rest:
+                bit = rest & -rest
+                i = bit.bit_length() - 1
+                rest ^= bit
+                ka = (levels[i], colors[i])
+                if ka > (s, kb) or (ka == (s, kb) and i > b):
+                    ok = False
+                    break
+            if ok:
+                levels[b] = s
+                place(t + 1)
+
+    place(0)
+    return oc.TPoly(N, P.m, out)
+
+
+def reference_enriched(P, N):
+    colors, below = P.colors, P.below
+    topo = _ref_topo(P)
+    chosen = [None] * P.n
+    out = {}
+
+    def place(t):
+        if t == P.n:
+            iadd(out, _ref_monomial([s for s, _ in chosen], colors), 1)
+            return
+        b = topo[t]
+        kb = colors[b]
+        for s in range(1, N + 1):
+            for sg in (0, 1):
+                key_b = (s, kb, sg)
+                ok = True
+                rest = below[b]
+                while rest:
+                    bit = rest & -rest
+                    i = bit.bit_length() - 1
+                    rest ^= bit
+                    sa, sga = chosen[i]
+                    key_a = (sa, colors[i], sga)
+                    if key_a > key_b or (key_a == key_b
+                                         and sg != (1 if i < b else 0)):
+                        ok = False
+                        break
+                if ok:
+                    chosen[b] = (s, sg)
+                    place(t + 1)
+
+    place(0)
+    return oc.TPoly(N, P.m, out)
+
+
+def assert_kernels_match_reference(P, N):
+    for kernel, ref in ((oc.enumerate_ppartitions, reference_ppartitions),
+                        (oc.enumerate_enriched, reference_enriched)):
+        got, want = kernel(P, N).terms, ref(P, N).terms
+        assert got == want, (kernel.__name__, P, N)
+        assert list(got) == list(want), (kernel.__name__, P, N)
+
+
+def test_kernels_match_reference_on_canonical_posets():
+    for m in (1, 2):
+        for P in _posets(m, 4):
+            for N in (1, 2, 3):
+                assert_kernels_match_reference(P, N)
+
+
+def test_kernels_match_reference_on_labeled_restrictions():
+    # Ideals and their complements keep their labels: non-canonical inputs.
+    # The kernels read only colors and order, so each distinct one is run
+    # once (27,318 restrictions, 2,110 distinct).
+    seen = set()
+    for m in (1, 2):
+        for P in _posets(m, 4):
+            full = (1 << P.n) - 1
+            for mask in P.ideal_masks():
+                for Q in (P.restrict(mask), P.restrict(full & ~mask)):
+                    if (m, Q.colors, Q.above) not in seen:
+                        seen.add((m, Q.colors, Q.above))
+                        for N in (1, 2):
+                            assert_kernels_match_reference(Q, N)
+
+
+def test_no_levels_is_an_error():
+    P = _chain(1, [(1, 0), (2, 0)])
+    for fn in (oc.enumerate_ppartitions, oc.enumerate_enriched,
+               oc.split_alphabet_check):
+        with pytest.raises(ValueError):
+            fn(P, 0)
+    with pytest.raises(ValueError):
+        oc.truncate(qs.QElt.basis_elt(1, "M", ((1, 0),)), 0)
+
+
 # --- the polynomial wrapper -----------------------------------------------
 
 def test_tpoly_arithmetic():
@@ -42,6 +170,15 @@ def test_tpoly_equality_ignores_truncation_level():
     a = _mono(2, 1, (1, [(1, 0, 1)]))
     b = _mono(5, 1, (1, [(1, 0, 1)]))
     assert a == b
+
+
+def test_tpoly_rejects_mixed_color_counts():
+    x = _mono(2, 1, (1, [(1, 0, 1)]))
+    y = _mono(2, 2, (1, [(1, 1, 1)]))
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        x * y
 
 
 def test_tpoly_shift():

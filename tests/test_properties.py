@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from test_oracle import assert_kernels_match_reference
 
 SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
                   database=None)
@@ -65,6 +66,12 @@ def test_generating_functions_match_the_oracle(P):
     assert qs.peak_projection(gamma) == lam
     assert oc.enumerate_ppartitions(P, 2) == oc.truncate(gamma, 2)
     assert oc.enumerate_enriched(P, 2) == oc.truncate(lam, 2)
+
+
+@SEEDED
+@given(labeled_posets())
+def test_oracle_kernels_match_the_reference(P):
+    assert_kernels_match_reference(P, 2)
 
 
 @SEEDED
