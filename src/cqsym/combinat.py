@@ -274,10 +274,7 @@ def conjugate(alpha):
 
 
 def shuffles(sigma, tau):
-    """All interleavings of sigma and tau preserving each word's order.
-
-    There are C(a+b, a) of them for words of a and b letters.
-    """
+    """All interleavings of sigma and tau preserving each word's order."""
     if set(v for v, _ in sigma) & set(v for v, _ in tau):
         raise ValueError("shuffle words must have disjoint value sets")
     out = []

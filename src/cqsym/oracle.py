@@ -6,14 +6,12 @@ first N index levels, plus exact truncation of QSym elements to the same
 variables.  Agreement with the generating functions computed in qsym.py is
 the differential test the rest of the package leans on.
 
-The two enumerators cost one step per counted map and O(|below(b)|) work
-per placed element b, whose least admissible level is read off what lies
-below it.  Leaves are counted as dense exponent vectors, one monomial built
-per distinct vector.
+The two enumerators take one step per counted map: O(|below(b)|) work to
+start element b at its least admissible level, and a sort of the n placed
+slots at each leaf; each distinct sorted tuple becomes one monomial.
 """
 
 from bisect import bisect_left
-from itertools import compress
 
 from . import qsym as qs
 from .terms import iadd, iadd_scaled
@@ -46,20 +44,17 @@ class TPoly:
 
     __hash__ = None
 
-    def _same_m(self, other):
-        if self.m != other.m:
-            raise ValueError("cannot combine polynomials in %d and %d colors"
-                             % (self.m, other.m))
-
     def __add__(self, other):
-        self._same_m(other)
+        if self.m != other.m:
+            raise ValueError("polynomials differ in color count")
         out = dict(self.terms)
         for key, c in other.terms.items():
             iadd(out, key, c)
         return TPoly(max(self.N, other.N), self.m, out)
 
     def __mul__(self, other):
-        self._same_m(other)
+        if self.m != other.m:
+            raise ValueError("polynomials differ in color count")
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -103,10 +98,20 @@ def _order(P, weight):
                    if P.below[b] >> i & 1] for b in topo]
 
 
-def _tally_terms(tally, N, m):
-    # slot (level - 1) * m + color, so slot order is the sorted key order
-    var = [(s, j) for s in range(1, N + 1) for j in range(m)]
-    return {tuple(compress(zip(var, vec), vec)): c for vec, c in tally.items()}
+def _tally_terms(tally, m):
+    # leaves are tallied by the sorted slots (level - 1) * m + color of their
+    # elements; each run of equal slots is one variable and its exponent
+    out = {}
+    for slots, c in tally.items():
+        mono, prev = [], -1
+        for s in slots:
+            if s == prev:
+                mono[-1] = (mono[-1][0], mono[-1][1] + 1)
+            else:
+                mono.append(((s // m + 1, s % m), 1))
+                prev = s
+        out[tuple(mono)] = c
+    return out
 
 
 def enumerate_ppartitions(P, N):
@@ -118,21 +123,20 @@ def enumerate_ppartitions(P, N):
     the transitive closure.
 
     A lower i needs level(b) >= level(i), plus one when i has the larger
-    color, or the same color and the larger value; every level from the
-    largest such bound to N is admissible.  One step per counted map.
+    color, or the same color and the larger value.
     """
     _need_levels(N)
     m, n, colors = P.m, P.n, P.colors
     topo, pairs = _order(P, lambda i, b: int(
         colors[i] > colors[b] or (colors[i] == colors[b] and i > b)))
     levels = [0] * n
-    cnt = [0] * (N * m)
+    slots = [0] * n
     tally = {}
 
     def place(t):
         if t == n:
-            vec = tuple(cnt)
-            tally[vec] = tally.get(vec, 0) + 1
+            key = tuple(sorted(slots))
+            tally[key] = tally.get(key, 0) + 1
             return
         b = topo[t]
         lo = 1
@@ -143,13 +147,12 @@ def enumerate_ppartitions(P, N):
         slot = (lo - 1) * m + colors[b]
         for s in range(lo, N + 1):
             levels[b] = s
-            cnt[slot] += 1
+            slots[t] = slot
             place(t + 1)
-            cnt[slot] -= 1
             slot += m
 
     place(0)
-    return TPoly(N, m, _tally_terms(tally, N, m))
+    return TPoly(N, m, _tally_terms(tally, m))
 
 
 def enumerate_enriched(P, N):
@@ -162,22 +165,21 @@ def enumerate_enriched(P, N):
 
     Signed letters rank as (level * m + color) * 2 + sign.  A lower i of
     rank r needs rank(b) >= r if the tie sign (plus iff i < b) is r's sign,
-    else r + 1; every rank of b's color from the largest bound on is
-    admissible.  One step per counted map.
+    else r + 1.
     """
     _need_levels(N)
     m, n, colors = P.m, P.n, P.colors
     topo, pairs = _order(P, lambda i, b: int(i < b))
     ranks = [0] * n
-    cnt = [0] * (N * m)
+    slots = [0] * n
     cands = [[(s * m + colors[b]) * 2 + sg
               for s in range(1, N + 1) for sg in (0, 1)] for b in topo]
     tally = {}
 
     def place(t):
         if t == n:
-            vec = tuple(cnt)
-            tally[vec] = tally.get(vec, 0) + 1
+            key = tuple(sorted(slots))
+            tally[key] = tally.get(key, 0) + 1
             return
         b = topo[t]
         lo = 0
@@ -189,13 +191,11 @@ def enumerate_enriched(P, N):
         row = cands[t]
         for r in row[bisect_left(row, lo):]:
             ranks[b] = r
-            slot = (r >> 1) - m
-            cnt[slot] += 1
+            slots[t] = (r >> 1) - m
             place(t + 1)
-            cnt[slot] -= 1
 
     place(0)
-    return TPoly(N, m, _tally_terms(tally, N, m))
+    return TPoly(N, m, _tally_terms(tally, m))
 
 
 def _embeddings(alpha, N):

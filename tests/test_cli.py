@@ -515,6 +515,26 @@ def test_bounds_admit_their_limits():
     assert code == 0 and len(out["perms"]) == 48620
 
 
+def test_oracle_admits_every_level_count_its_bound_allows(capsys):
+    # (2N)^n admits a point at N = 2^19 and the empty poset at any N, in
+    # any number of colors; each answers in time and memory of its output.
+    point = _payload({"m": 1, "elements": [[1, 0]]})
+    assert cli.main(["oracle", "ppartitions", "--max-N", str(1 << 19),
+                     "--in", point]) == 0
+    assert capsys.readouterr().out.count('"coeff": 1}') == 1 << 19
+    empty = _payload({"m": 3, "elements": []})
+    for op in ("ppartitions", "enriched"):
+        code, out = _run("oracle", op, "--max-N", str(10 ** 18), "--in", empty)
+        assert code == 0 and out["terms"] == [{"exps": [], "coeff": 1}]
+    code, out = _run("oracle", "split-check", "--max-N", str(10 ** 18),
+                     "--in", empty)
+    assert code == 0 and out["ok"]
+    wide = _payload({"m": 1 << 20, "elements": [[1, (1 << 20) - 1]]})
+    code, out = _run("oracle", "enriched", "--max-N", "1", "--in", wide)
+    assert code == 0 and out["terms"] == [
+        {"exps": [[1, (1 << 20) - 1, 1]], "coeff": 2}]
+
+
 # --- the installed entry point --------------------------------------------
 
 def test_module_invocation_reads_stdin():

@@ -2,6 +2,7 @@
 the algebraic generating functions."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ from cqsym import combinat as cb
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
-from cqsym.terms import iadd
+from oracle_reference import assert_kernels_match_reference
 
 
 def _chain(m, letters):
@@ -30,97 +31,7 @@ def _posets(m, max_n):
             yield P
 
 
-# --- the check-every-level reference kernels ------------------------------
-# The enumerators as first written: each candidate level of each element is
-# tested against everything below it, and each leaf builds its monomial.
-# The library kernels must count the same maps into the same terms, first
-# visited in the same order.
-
-def _ref_topo(P):
-    return sorted(range(P.n), key=lambda i: bin(P.below[i]).count("1"))
-
-
-def _ref_monomial(levels, colors):
-    cnt = {}
-    for i, s in enumerate(levels):
-        k = (s, colors[i])
-        cnt[k] = cnt.get(k, 0) + 1
-    return tuple(sorted(cnt.items()))
-
-
-def reference_ppartitions(P, N):
-    colors, below = P.colors, P.below
-    topo = _ref_topo(P)
-    levels = [0] * P.n
-    out = {}
-
-    def place(t):
-        if t == P.n:
-            iadd(out, _ref_monomial(levels, colors), 1)
-            return
-        b = topo[t]
-        kb = colors[b]
-        for s in range(1, N + 1):
-            ok = True
-            rest = below[b]
-            while rest:
-                bit = rest & -rest
-                i = bit.bit_length() - 1
-                rest ^= bit
-                ka = (levels[i], colors[i])
-                if ka > (s, kb) or (ka == (s, kb) and i > b):
-                    ok = False
-                    break
-            if ok:
-                levels[b] = s
-                place(t + 1)
-
-    place(0)
-    return oc.TPoly(N, P.m, out)
-
-
-def reference_enriched(P, N):
-    colors, below = P.colors, P.below
-    topo = _ref_topo(P)
-    chosen = [None] * P.n
-    out = {}
-
-    def place(t):
-        if t == P.n:
-            iadd(out, _ref_monomial([s for s, _ in chosen], colors), 1)
-            return
-        b = topo[t]
-        kb = colors[b]
-        for s in range(1, N + 1):
-            for sg in (0, 1):
-                key_b = (s, kb, sg)
-                ok = True
-                rest = below[b]
-                while rest:
-                    bit = rest & -rest
-                    i = bit.bit_length() - 1
-                    rest ^= bit
-                    sa, sga = chosen[i]
-                    key_a = (sa, colors[i], sga)
-                    if key_a > key_b or (key_a == key_b
-                                         and sg != (1 if i < b else 0)):
-                        ok = False
-                        break
-                if ok:
-                    chosen[b] = (s, sg)
-                    place(t + 1)
-
-    place(0)
-    return oc.TPoly(N, P.m, out)
-
-
-def assert_kernels_match_reference(P, N):
-    for kernel, ref in ((oc.enumerate_ppartitions, reference_ppartitions),
-                        (oc.enumerate_enriched, reference_enriched)):
-        got, want = kernel(P, N).terms, ref(P, N).terms
-        assert got == want, (kernel.__name__, P, N)
-        assert list(got) == list(want), (kernel.__name__, P, N)
-
+# --- the kernels against the check-every-level reference -----------------
 
 def test_kernels_match_reference_on_canonical_posets():
     for m in (1, 2):
@@ -143,6 +54,21 @@ def test_kernels_match_reference_on_labeled_restrictions():
                         seen.add((m, Q.colors, Q.above))
                         for N in (1, 2):
                             assert_kernels_match_reference(Q, N)
+
+
+def test_kernel_memory_follows_the_poset_not_the_alphabet():
+    # A leaf is keyed by its n placed slots, not by a vector over all N * m
+    # variables: a point over 4,096 levels, or in 2^20 colors, stays small.
+    for P, N in ((ps.antichain_poset(1, [(1, 0)]), 1 << 12),
+                 (ps.antichain_poset(1 << 20, [(1, (1 << 20) - 1)]), 1)):
+        for kernel in (oc.enumerate_ppartitions, oc.enumerate_enriched):
+            tracemalloc.start()
+            try:
+                got = kernel(P, N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(got.terms) == N and peak < 4 << 20, (kernel, N, peak)
 
 
 def test_no_levels_is_an_error():

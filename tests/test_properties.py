@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
-from test_oracle import assert_kernels_match_reference
+from oracle_reference import assert_kernels_match_reference
 
 SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
                   database=None)
