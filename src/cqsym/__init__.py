@@ -40,7 +40,7 @@ from .characters import (
 )
 from .oracle import (
     TPoly, enumerate_ppartitions, enumerate_enriched, truncate,
-    split_alphabet_check,
+    split_alphabet_check, product_law_check, extension_partition_check,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 from . import characters as ch
 from . import combinat as cb
@@ -46,6 +47,7 @@ MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite; words of perm shuffle
+                          # and chain pairs of qsym product
 
 
 def _at_most(size, limit, what):
@@ -72,6 +74,33 @@ def _bound_rewrite(e, target):
         else:
             size += 1
     _at_most(size, MAX_EXPANSION, "terms in the %s expansion" % target)
+
+
+def _shuffle_count(u, v):
+    # C(u+v, u) as the product over i <= min(u, v) of (max(u, v) + i) / i,
+    # stopping once past MAX_EXPANSION, so a huge weight costs a few steps
+    lo, hi = sorted((u, v))
+    c = 1
+    for i in range(1, lo + 1):
+        c = c * (hi + i) // i
+        if c > MAX_EXPANSION:
+            break
+    return c
+
+
+def _bound_shuffles(a, b):
+    """Refuse a * b if it shuffles too many chain pairs.
+
+    Counted before multiplying, on the keys of the basis the product
+    shuffles in (F, or K when both factors are K): keys of weights u and
+    v shuffle C(u+v, u) pairs of representative chains.
+    """
+    weights_b = Counter(map(cb.weight, b.terms)).items()
+    size = 0
+    for u, i in Counter(map(cb.weight, a.terms)).items():
+        for v, j in weights_b:
+            size += i * j * _shuffle_count(u, v)
+            _at_most(size, MAX_EXPANSION, "chain-pair shuffles")
 
 
 # --- payload parsing ------------------------------------------------------
@@ -355,6 +384,8 @@ def cmd_qsym(args):
         if first.basis != "K" or second.basis != "K":
             _bound_rewrite(first, "F")
             _bound_rewrite(second, "F")
+            first, second = qs.to_fundamental(first), qs.to_fundamental(second)
+        _bound_shuffles(first, second)
         return qsym_json(qs.multiply(first, second))
     if op in ("gamma", "lambda"):
         P = parse_poset(payload, args).canonical

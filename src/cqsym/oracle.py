@@ -6,15 +6,21 @@ first N index levels, plus exact truncation of QSym elements to the same
 variables.  Agreement with the generating functions computed in qsym.py is
 the differential test the rest of the package leans on.
 
-The two enumerators take one step per counted map: O(|below(b)|) work to
+The two kernels take one step per counted map: O(|below(b)|) work to
 start element b at its least admissible level, and a sort of the n placed
-slots at each leaf; each distinct sorted tuple becomes one monomial.
+slots (level - 1) * m + color at each leaf.  They tally leaves by that
+sorted slot tuple; the enumerators turn each distinct tuple into one
+monomial.  Tuples and monomials correspond one to one, so the identity
+checks that compare enumerations with each other (split alphabet,
+product law, extension partition) compare tallies and build no
+polynomial.
 """
 
 from bisect import bisect_left
 
+from . import poset as ps
 from . import qsym as qs
-from .terms import iadd, iadd_scaled
+from .terms import iadd
 
 
 class TPoly:
@@ -125,6 +131,11 @@ def enumerate_ppartitions(P, N):
     A lower i needs level(b) >= level(i), plus one when i has the larger
     color, or the same color and the larger value.
     """
+    return TPoly(N, P.m, _tally_terms(_ppartition_tally(P, N), P.m))
+
+
+def _ppartition_tally(P, N):
+    # the kernel of enumerate_ppartitions: sorted slot tuple -> count
     _need_levels(N)
     m, n, colors = P.m, P.n, P.colors
     topo, pairs = _order(P, lambda i, b: int(
@@ -152,7 +163,7 @@ def enumerate_ppartitions(P, N):
             slot += m
 
     place(0)
-    return TPoly(N, m, _tally_terms(tally, m))
+    return tally
 
 
 def enumerate_enriched(P, N):
@@ -225,22 +236,49 @@ def truncate(e, N):
     return TPoly(N, e.m, out)
 
 
+def _add_products(acc, left, right, join):
+    # acc[join(ka, kb)] += ca * cb over the terms of two tallies
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            key = join(ka, kb)
+            acc[key] = acc.get(key, 0) + ca * cb
+
+
 def split_alphabet_check(P, N):
     """Doubled-alphabet enumeration versus the coproduct, one poset at a time.
 
     Maps into 2N levels split, by the point where images leave the low
     block, into a P-partition of an order ideal on the low levels and one
-    of the complement on the high levels.  Checked by total count and then
-    coefficientwise.
+    of the complement on the high levels.  High slots sit N * m above low
+    ones, so each product tuple is the low tuple followed by the shifted
+    high one, already sorted.
     """
-    _need_levels(N)
-    big = enumerate_ppartitions(P, 2 * N)
+    shift = N * P.m
     full = (1 << P.n) - 1
     acc = {}
-    total = 0
     for mask in P.ideal_masks():
-        lo = enumerate_ppartitions(P.restrict(mask), N)
-        hi = enumerate_ppartitions(P.restrict(full & ~mask), N)
-        total += lo.total() * hi.total()
-        iadd_scaled(acc, (lo * hi.shifted(N)).terms)
-    return big.total() == total and acc == big.terms
+        lo = _ppartition_tally(P.restrict(mask), N)
+        hi = _ppartition_tally(P.restrict(full & ~mask), N)
+        hi = {tuple(s + shift for s in key): c for key, c in hi.items()}
+        _add_products(acc, lo, hi, tuple.__add__)
+    return acc == _ppartition_tally(P, 2 * N)
+
+
+def product_law_check(A, B, C, N):
+    """C's P-partitions into N levels are the products of A's and B's.
+
+    True when C is the disjoint union of A and B.
+    """
+    acc = {}
+    _add_products(acc, _ppartition_tally(A, N), _ppartition_tally(B, N),
+                  lambda ka, kb: tuple(sorted(ka + kb)))
+    return acc == _ppartition_tally(C, N)
+
+
+def extension_partition_check(P, N):
+    """P's P-partitions split by linear extension into chain P-partitions."""
+    acc = {}
+    for pi in P.linear_extensions():
+        for key, c in _ppartition_tally(ps.chain_poset(P.m, pi), N).items():
+            acc[key] = acc.get(key, 0) + c
+    return acc == _ppartition_tally(P, N)

@@ -14,9 +14,10 @@ the resulting descent/peak compositions are collected.  The antipodes
 are the closed forms: coarsen-and-reverse with sign on M, conjugation
 with sign on F, reversal of a representative chain on K.
 
-The F/K product of two keys and the F/K cuts of one key are memoized
-per key.  The cached maps and tuples are shared, so callers only read
-them and never mutate them.
+The F/K product of two keys, the F/K cuts of one key, the refinements
+of one key and the M expansion of one K key are memoized per key.  The
+cached maps and tuples are shared, so callers only read them and never
+mutate them; the public k_to_m_key hands out a copy.
 """
 
 from functools import cache
@@ -123,7 +124,7 @@ def f_to_m(e):
         raise ValueError("f_to_m expects an F-basis element")
     out = {}
     for alpha, c in e.terms.items():
-        for beta in cb.refinements(alpha):
+        for beta in _refinements(alpha):
             iadd(out, beta, c)
     return QElt(e.m, "M", out)
 
@@ -135,9 +136,15 @@ def m_to_f(e):
     out = {}
     for alpha, c in e.terms.items():
         la = len(alpha)
-        for beta in cb.refinements(alpha):
+        for beta in _refinements(alpha):
             iadd(out, beta, -c if (len(beta) - la) % 2 else c)
     return QElt(e.m, "F", out)
+
+
+@cache
+def _refinements(alpha):
+    """cb.refinements(alpha) as a tuple, memoized per key."""
+    return tuple(cb.refinements(alpha))
 
 
 def k_to_m_key(alpha, m):
@@ -146,7 +153,13 @@ def k_to_m_key(alpha, m):
     Per rainbow block of weight w: sum over uncolored beta of w whose
     starred form refines the block, contributing 2^(length of beta); the
     blocks combine multiplicatively and beta wears the block's color.
+    The map is a fresh copy of a per-key memo, so callers may mutate it.
     """
+    return dict(_k_to_m_key(alpha, m))
+
+
+@cache
+def _k_to_m_key(alpha, m):
     block_opts = []
     for sizes, color in cb.rainbow_decompose(alpha):
         w = sum(sizes)
@@ -171,7 +184,7 @@ def k_to_m(e):
         raise ValueError("k_to_m expects a K-basis element")
     out = {}
     for alpha, c in e.terms.items():
-        iadd_scaled(out, k_to_m_key(alpha, e.m), c)
+        iadd_scaled(out, _k_to_m_key(alpha, e.m), c)
     return QElt(e.m, "M", out)
 
 
@@ -181,7 +194,7 @@ def peak_function(m, alpha):
     The defining sum makes sense whether or not alpha is a peak
     composition; K-tagged elements however only admit peak keys.
     """
-    return QElt(m, "M", k_to_m_key(tuple(alpha), m))
+    return QElt(m, "M", _k_to_m_key(tuple(alpha), m))
 
 
 def to_monomial(e):
@@ -230,7 +243,9 @@ def multiply(a, b):
     """Product in QSym^(m).
 
     K * K stays in K; anything else is computed in the F basis (M input
-    converted through m_to_f, K input through its M expansion).
+    converted through m_to_f, K input through its M expansion).  Each
+    new pair of keys of weights u and v shuffles C(u+v, u) chain pairs;
+    there is no bound here (the CLI sets one).
     """
     if a.m != b.m:
         raise ValueError("operands must share the same number of colors")

@@ -286,26 +286,16 @@ def _suite_oracle_equivalence(m, max_n, max_N, seed):
               == oc.truncate(qs.enriched_gf(case[0]), case[1]),
               cj),
         _scan("oracle-product-law", pairs,
-              lambda pr: oc.enumerate_ppartitions(
-                  ps.disjoint_union(pr[0], pr[1]), max_N)
-              == oc.enumerate_ppartitions(pr[0], max_N)
-              * oc.enumerate_ppartitions(pr[1], max_N),
+              lambda pr: oc.product_law_check(
+                  pr[0], pr[1], ps.disjoint_union(pr[0], pr[1]), max_N),
               _poset_pair_json),
         _scan("split-alphabet", grid,
               lambda P: oc.split_alphabet_check(P, max_N),
               poset_json),
         _scan("extension-partition", grid,
-              lambda P: _extension_partition_ok(P, max_N),
+              lambda P: oc.extension_partition_check(P, max_N),
               poset_json),
     ]
-
-
-def _extension_partition_ok(P, N):
-    whole = oc.enumerate_ppartitions(P, N)
-    acc = oc.TPoly(N, P.m, {})
-    for pi in P.linear_extensions():
-        acc = acc + oc.enumerate_ppartitions(ps.chain_poset(P.m, pi), N)
-    return acc == whole
 
 
 def _suite_character_group(m, max_n, max_N, seed):

@@ -306,6 +306,15 @@ def test_verify_stats_adds_seconds_and_cache_info():
     assert caches["qsym._cut_keys"]["currsize"] > 0
 
 
+def test_verify_stats_show_the_expansion_memos():
+    code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
+                     "--max-n", "3", "--stats")
+    assert code == 0
+    caches = out["stats"]["caches"]
+    for name in ("qsym._k_to_m_key", "qsym._refinements"):
+        assert caches[name]["currsize"] > 0, name
+
+
 def test_verify_unknown_suite_is_a_parse_error():
     code, out = _run("verify", "--suite", "no-such-suite")
     assert code == 2
@@ -474,11 +483,14 @@ def _shuffle_pair(a, b):
      "terms in the M expansion must be <= 65536"),
     (("perm", "shuffle", "--in", _payload(_shuffle_pair(10, 10))),
      "shuffles C(a+b, a) must be <= 65536"),
+    (("qsym", "product", "--in",
+      _payload({"first": _one_part("F", 10), "second": _one_part("M", 10)})),
+     "chain-pair shuffles must be <= 65536"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
         "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
         "qsym-theta", "qsym-antipode-inductive", "oracle-truncate-expansion",
-        "perm-shuffle"])
+        "perm-shuffle", "qsym-product-shuffles"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -510,6 +522,10 @@ def test_bounds_admit_their_limits():
     code, out = _run("qsym", "product", "--in",
                      _payload({"first": _K10, "second": _one_part("K", 1)}))
     assert code == 0 and out["basis"] == "K" and out["terms"]
+    # C(18, 9) = 48,620 chain pairs for F_(9) * F_(9)
+    code, out = _run("qsym", "product", "--in", _payload(
+        {"first": _one_part("F", 9), "second": _one_part("F", 9)}))
+    assert code == 0 and out["basis"] == "F" and out["terms"]
     # C(18, 9) = 48,620 shuffles of 9 + 9 letters
     code, out = _run("perm", "shuffle", "--in", _payload(_shuffle_pair(9, 9)))
     assert code == 0 and len(out["perms"]) == 48620

@@ -74,7 +74,8 @@ def test_kernel_memory_follows_the_poset_not_the_alphabet():
 def test_no_levels_is_an_error():
     P = _chain(1, [(1, 0), (2, 0)])
     for fn in (oc.enumerate_ppartitions, oc.enumerate_enriched,
-               oc.split_alphabet_check):
+               oc.split_alphabet_check, oc.extension_partition_check,
+               lambda Q, N: oc.product_law_check(Q, Q, Q, N)):
         with pytest.raises(ValueError):
             fn(P, 0)
     with pytest.raises(ValueError):
@@ -243,3 +244,85 @@ def test_split_alphabet_identity():
     for m in (1, 2):
         for P in _posets(m, 3):
             assert oc.split_alphabet_check(P, 2)
+
+
+# --- the identity checks on tallies against the polynomial route ----------
+
+def _tpoly_split_alphabet(P, N):
+    full = (1 << P.n) - 1
+    acc = oc.TPoly(2 * N, P.m)
+    for mask in P.ideal_masks():
+        lo = oc.enumerate_ppartitions(P.restrict(mask), N)
+        hi = oc.enumerate_ppartitions(P.restrict(full & ~mask), N)
+        acc = acc + lo * hi.shifted(N)
+    return acc == oc.enumerate_ppartitions(P, 2 * N)
+
+
+def _tpoly_product_law(A, B, C, N):
+    return oc.enumerate_ppartitions(C, N) == \
+        oc.enumerate_ppartitions(A, N) * oc.enumerate_ppartitions(B, N)
+
+
+def _tpoly_extension_partition(P, N):
+    acc = oc.TPoly(N, P.m)
+    for pi in P.linear_extensions():
+        acc = acc + oc.enumerate_ppartitions(ps.chain_poset(P.m, pi), N)
+    return acc == oc.enumerate_ppartitions(P, N)
+
+
+def _size_pairs(m, max_total):
+    grid = list(_posets(m, max_total))
+    return [(A, B) for A in grid for B in grid if A.n + B.n <= max_total]
+
+
+def test_tally_checks_match_the_polynomial_route():
+    for m in (1, 2):
+        for N in (1, 2):
+            for P in _posets(m, 3):
+                assert oc.split_alphabet_check(P, N) \
+                    == _tpoly_split_alphabet(P, N), (P, N)
+                assert oc.extension_partition_check(P, N) \
+                    == _tpoly_extension_partition(P, N), (P, N)
+            for A, B in _size_pairs(m, 3):
+                C = ps.disjoint_union(A, B)
+                assert oc.product_law_check(A, B, C, N) \
+                    == _tpoly_product_law(A, B, C, N), (A, B, N)
+
+
+def _side_by_side(A, B, extra=()):
+    # A and B with B's values moved above A's, plus the extra covers
+    k = max(A.values, default=0)
+    letters = A.elements() + tuple((v + k, c) for v, c in B.elements())
+    covers = A.cover_pairs() + tuple((u + k, v + k)
+                                     for u, v in B.cover_pairs())
+    return ps.make_poset(A.m, letters, covers + tuple(extra))
+
+
+def test_product_law_fails_when_a_relation_joins_the_factors():
+    # a maximal element of A below a minimal one of B: with at most two
+    # elements per factor, some map at N = 2 puts the first on level 2 and
+    # the second on level 1, and the new relation forbids it
+    checked = 0
+    for m in (1, 2):
+        for A, B in _size_pairs(m, 3):
+            if not (A.n and B.n):
+                continue
+            assert oc.product_law_check(A, B, _side_by_side(A, B), 2)
+            top = next(v for v, up in zip(A.values, A.above) if not up)
+            k = max(A.values)
+            bottom = next(v + k for v, down in zip(B.values, B.below)
+                          if not down)
+            joined = _side_by_side(A, B, [(top, bottom)])
+            assert not oc.product_law_check(A, B, joined, 2), (A, B)
+            assert not _tpoly_product_law(A, B, joined, 2)
+            checked += 1
+    assert checked > 0
+
+
+def test_product_law_fails_on_a_swapped_factor():
+    A = _chain(2, [(1, 0), (2, 1)])
+    B = _chain(2, [(1, 1)])
+    C = ps.disjoint_union(A, B)
+    assert oc.product_law_check(A, B, C, 2)
+    assert not oc.product_law_check(A, A, C, 2)
+    assert not oc.product_law_check(A, ps.antichain_poset(2, [(1, 0)]), C, 2)

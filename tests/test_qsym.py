@@ -70,6 +70,29 @@ def test_peak_basis_rejects_non_peak_keys():
     raise AssertionError("K accepted a non-peak composition")
 
 
+def test_memoized_expansions_survive_callers_mutating_results():
+    # two terms each, so an expansion accumulated into a shared per-key
+    # map or tuple would show on the repeat
+    k = ((2, 0), (1, 0), (1, 1))
+    f = _basis(2, "F", ((1, 0), (2, 1))) + _basis(2, "F", ((3, 0),))
+    calls = [
+        lambda: qs.k_to_m_key(k, 2),
+        lambda: qs.peak_function(2, k).terms,
+        lambda: qs.f_to_m(f).terms,
+        lambda: qs.m_to_f(_M(2, ((2, 1), (1, 0)), ((3, 1),))).terms,
+    ]
+    for call in calls:
+        first = call()
+        want = dict(first)
+        for key in list(first):
+            first[key] += 7
+        first[((9, 0),)] = 1
+        assert call() == want
+        qs._k_to_m_key.cache_clear()
+        qs._refinements.cache_clear()
+        assert call() == want
+
+
 def test_m_f_round_trip():
     for m in (1, 2):
         for alpha in _comps(m, 4):
