@@ -103,6 +103,40 @@ def _bound_shuffles(a, b):
             _at_most(size, MAX_EXPANSION, "chain-pair shuffles")
 
 
+def _bound_inductive_antipode(e):
+    """Refuse the M element e if its inductive antipode does too much work.
+
+    Counted before computing.  The recursion visits every distinct prefix
+    p of a key of e once, and for each cut p = b|c multiplies S(M_b) by
+    M_c.  Let b and c have weights u and v, c have l parts, and b and c
+    have r_b and r_c one-color runs.  Then S(M_b) has at most 2^(u-r_b)
+    F keys and M_c has 2^(v-l), and each pair of them shuffles C(u+v, u)
+    chain pairs.  The product's F keys rewrite into at most
+    d * 3^(u+v-max(r_b, r_c)) M terms, where d = 1 when b and c share one
+    color, else d = C(u+v, u) for the interleaved color words.  Both
+    factors' own rewrites into F are smaller than these two counts.
+    """
+    size, seen = 0, set()
+    for alpha in e.terms:
+        for j in range(2, len(alpha) + 1):
+            p = alpha[:j]
+            if p in seen:
+                continue
+            seen.add(p)
+            one_color = len(cb.rainbow_decompose(p)) == 1
+            for i in range(1, j):
+                b, c = p[:i], p[i:]
+                u, v = cb.weight(b), cb.weight(c)
+                runs_b = len(cb.rainbow_decompose(b))
+                runs_c = len(cb.rainbow_decompose(c))
+                pairs = math.comb(u + v, u)
+                words = 1 if one_color else pairs
+                size += pairs * 2 ** (u - runs_b + v - len(c))
+                size += words * 3 ** (u + v - max(runs_b, runs_c))
+                _at_most(size, MAX_EXPANSION,
+                         "inductive antipode shuffles and terms")
+
+
 # --- payload parsing ------------------------------------------------------
 
 def _load(args):
@@ -410,6 +444,8 @@ def cmd_qsym(args):
     if op == "antipode":
         if args.route == "inductive":
             _bound_rewrite(e, "M")
+            e = qs.to_monomial(e)
+            _bound_inductive_antipode(e)
             return qsym_json(qs.antipode_inductive(e))
         return qsym_json(qs.antipode(e))
     if op == "counit":
@@ -512,21 +548,23 @@ def cmd_oracle(args):
 # --- verify and dims verbs -----------------------------------------------
 
 def cmd_verify(args):
-    from .verify import SUITES, cache_stats
+    from .verify import SUITES, cache_stats, run_checks
     name = args.suite
     _expect(name is not None, "--suite NAME is required; one of %s"
             % ", ".join(sorted(SUITES)))
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
     m = _positive_m(args.m if args.m is not None else 2)
-    checks = SUITES[name](m, args.max_n, args.max_N, args.seed)
+    checks, run = run_checks(SUITES[name](m, args.max_n, args.max_N,
+                                          args.seed))
     if not args.stats:
         for c in checks:
             del c["seconds"]
     ok = all(c["ok"] for c in checks)
     report = {"suite": name, "m": m, "checks": checks, "ok": ok}
     if args.stats:
-        report["stats"] = {"caches": cache_stats()}
+        report["stats"] = {"processes": run["processes"],
+                           "caches": cache_stats(run["caches"])}
     return report, (0 if ok else 1)
 
 

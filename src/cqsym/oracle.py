@@ -17,6 +17,7 @@ polynomial.
 """
 
 from bisect import bisect_left
+from functools import cache
 
 from . import poset as ps
 from . import qsym as qs
@@ -209,8 +210,11 @@ def enumerate_enriched(P, N):
     return TPoly(N, m, _tally_terms(tally, m))
 
 
+@cache
 def _embeddings(alpha, N):
-    # strictly increasing (level, color) supports with colors fixed by alpha
+    # strictly increasing (level, color) supports with colors fixed by
+    # alpha, as monomial keys; memoized, since truncate meets the same
+    # few (alpha, N) again and again
     k = len(alpha)
 
     def go(t, prev, acc):
@@ -223,7 +227,7 @@ def _embeddings(alpha, N):
                 continue
             yield from go(t + 1, (i, j), acc + [((i, j), size)])
 
-    yield from go(0, None, [])
+    return tuple(go(0, None, []))
 
 
 def truncate(e, N):

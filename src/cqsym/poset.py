@@ -483,10 +483,15 @@ def product_key(A, B):
 
 @cache
 def _union(A, B):
-    # one entry per argument order; the reversed order reuses the other
+    # one entry per argument order; the reversed order reuses the other.
+    # No relation crosses the factors, so placing all of B above A, its
+    # closure masks shifted past A's, gives the class of disjoint_union.
     if id(A) > id(B):
         return _union(B, A)
-    return disjoint_union(A, B).canonical
+    if A.m != B.m:
+        raise ValueError("disjoint union requires the same number of colors")
+    return _canonical_from(A.m, A.colors + B.colors,
+                           A.above + tuple(b << A.n for b in B.above))
 
 
 class PElt:

@@ -338,7 +338,10 @@ def antipode_inductive_key(alpha, m):
 
     S(M_()) = M_(); otherwise S(M_a) = -M_a - sum over proper splits
     a = b|c (b, c nonempty) of S(M_b) * M_c, with the product computed
-    through the F basis.  Cross-checks the closed form.
+    through the F basis.  Cross-checks the closed form.  There is no
+    bound here: each cut with |b| = u and |c| = v shuffles C(u+v, u)
+    chain pairs per pair of F keys and rewrites the product back into M
+    (the CLI counts both before computing).
     """
     if not alpha:
         return QElt.one(m)

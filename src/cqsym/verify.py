@@ -1,15 +1,29 @@
 """Verification suites behind `cqsym verify`.
 
 Each suite takes (m, max_n, max_N, seed), with None selecting its default
-grid, and returns one report per check: the check's name, whether it
-held, how many cases it covered, a replayable JSON payload of the first
-counterexample, and its wall time in seconds.  A check that covered no
-cases does not pass.
+grid, and returns its checks as (name, items, test, describe) specs:
+test(item) says whether the identity holds on one case, and describe(item)
+is a replayable JSON payload of a counterexample.  run_checks runs the
+specs and gives one report per check: the check's name, whether it held,
+how many cases it covered, the first counterexample, and its wall time in
+seconds.  A check that covered no cases does not pass.
+
+Cases are independent, so once a suite has SHARD_FLOOR cases run_checks
+splits each check's items into k shards, one per available CPU up to
+MAX_PROCESSES.  Item i goes to shard i mod k, or, when a spec carries a
+fifth element owner(item), to shard owner(item) mod k.  The calling
+process runs shard 0 and forked children run the others, on a
+copy-on-write copy of the grids and memos.  Every shard stops a check at
+its first failure, and the earliest one over all shards decides the
+report, so the reports are those of a serial run.
 """
 
+import gc
+import os
 import random
 import sys
 import time
+from collections import Counter
 
 from . import characters as ch
 from . import combinat as cb
@@ -19,28 +33,160 @@ from . import qsym as qs
 from .cli import comp_json, poset_json
 from .terms import iadd
 
-
-def _scan(name, items, test, describe):
-    t0 = time.perf_counter()
-    checked, bad = 0, None
-    for it in items:
-        checked += 1
-        if not test(it):
-            bad = describe(it)
-            break
-    return {"name": name, "ok": bad is None and checked > 0,
-            "checked": checked, "counterexample": bad,
-            "seconds": round(time.perf_counter() - t0, 6)}
+# Below SHARD_FLOOR cases a suite runs in the calling process alone: at
+# the grids measured there, a child's start-up and its own memo filling
+# cost more than its shard saves.  Each process fills its own memos, so
+# MAX_PROCESSES bounds the memory.
+SHARD_FLOOR = 12000
+MAX_PROCESSES = 8
+_GROWN = ("hits", "misses", "currsize")
 
 
-def cache_stats():
-    """cache_info() of every functools cache in cqsym, by module.function."""
+def _processes(cases):
+    # forking a process that runs other threads can deadlock the child
+    threads = sys.modules.get("threading")
+    if (cases < SHARD_FLOOR or not hasattr(os, "fork")
+            or threads is not None and threads.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, MAX_PROCESSES)
+
+
+def _shard(spec, shard, k):
+    """Indices, in increasing order, of the spec's items in shard."""
+    items = spec[1]
+    if len(spec) == 4 or k == 1:
+        return range(shard, len(items), k)
+    owner = spec[4]
+    return [i for i, it in enumerate(items) if owner(it) % k == shard]
+
+
+def _run_shard(specs, shard, k):
+    """Per spec: (index of the shard's first failing item or None, the
+    exception it raised or None, seconds)."""
+    out = []
+    for spec in specs:
+        items, test = spec[1], spec[2]
+        t0 = time.perf_counter()
+        bad = exc = None
+        for i in _shard(spec, shard, k):
+            try:
+                ok = test(items[i])
+            except Exception as e:
+                bad, exc = i, e
+                break
+            if not ok:
+                bad = i
+                break
+        out.append((bad, exc, time.perf_counter() - t0))
+    return out
+
+
+def _memo_counts():
+    return Counter({(name, f): info[f] for name, info in cache_stats().items()
+                    for f in _GROWN})
+
+
+def _shard_child(conn, specs, shard, k):
+    # exceptions go back as text; the parent re-raises them by re-running
+    before = _memo_counts()
+    events = []
+    for bad, exc, seconds in _run_shard(specs, shard, k):
+        if exc is not None:
+            exc = "%s: %s" % (type(exc).__name__, exc)
+        events.append((bad, exc, seconds))
+    grown = _memo_counts()
+    grown.subtract(before)
+    conn.send((events, grown))
+    conn.close()
+
+
+def _forked_shards(specs, k):
+    """The events of shard 0, run here, and of shards 1..k-1, run in
+    forked children; and the children's memo growth, summed."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    children, shards, growth = [], [], Counter()
+    gc.freeze()   # else a collection writes to, and so copies, every page
+    try:
+        for shard in range(1, k):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_shard_child,
+                               args=(send, specs, shard, k), daemon=True)
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        shards.append(_run_shard(specs, 0, k))
+        for proc, recv in children:
+            try:
+                events, grown = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError("a verify worker process exited with "
+                                   "code %s" % proc.exitcode) from None
+            shards.append(events)
+            growth.update(grown)
+    finally:
+        for proc, recv in children:
+            recv.close()
+            if len(shards) < k:
+                proc.terminate()
+            proc.join()
+        gc.unfreeze()
+    return shards, growth
+
+
+def run_checks(specs, processes=None):
+    """Run check specs; returns (reports, stats).
+
+    processes forces the number of processes k.  By default k is 1 below
+    SHARD_FLOOR cases, without fork, or while other threads run, and
+    otherwise one per available CPU up to MAX_PROCESSES.  stats holds k as "processes" and, as
+    "caches", what the children added to the memos since the fork, by
+    (cache name, "hits" | "misses" | "currsize"), for cache_stats.  If
+    the earliest failure of a check is an exception, it propagates:
+    raised again as it was in this process, or by re-running the case
+    here when a child met it.
+    """
+    k = processes or _processes(sum(len(spec[1]) for spec in specs))
+    if k == 1:
+        shards, growth = [_run_shard(specs, 0, 1)], Counter()
+    else:
+        shards, growth = _forked_shards(specs, k)
+    reports = []
+    for j, (name, items, test, describe, *_) in enumerate(specs):
+        events = [shard[j] for shard in shards]
+        bad, exc = min(((b, e) for b, e, _ in events if b is not None),
+                       key=lambda ev: ev[0], default=(None, None))
+        if isinstance(exc, Exception):
+            raise exc
+        if exc is not None:
+            test(items[bad])
+            raise RuntimeError("check %s raised %s in a worker process "
+                               "only" % (name, exc))
+        reports.append({
+            "name": name, "ok": bad is None and len(items) > 0,
+            "checked": len(items) if bad is None else bad + 1,
+            "counterexample": None if bad is None else describe(items[bad]),
+            "seconds": round(max(s for _, _, s in events), 6)})
+    return reports, {"processes": k, "caches": growth}
+
+
+def cache_stats(growth=None):
+    """cache_info() of every functools cache in cqsym, by module.function,
+    plus growth (run_checks' stats["caches"]) in hits, misses and
+    currsize."""
     out = {}
     for mod_name, mod in sorted(sys.modules.items()):
         if mod_name.startswith("cqsym."):
             for name, fn in sorted(vars(mod).items()):
                 if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
-                    out[mod_name[6:] + "." + name] = fn.cache_info()._asdict()
+                    key = mod_name[6:] + "." + name
+                    info = fn.cache_info()._asdict()
+                    for f in _GROWN if growth else ():
+                        info[f] += growth[key, f]
+                    out[key] = info
     return out
 
 
@@ -63,6 +209,16 @@ def _size_pairs(grid, max_total):
             if i + j <= max_total:
                 out.extend((A, B) for A in firsts for B in seconds)
     return out
+
+
+def _by_larger_factor(grid):
+    """Shard owner of a pair of grid posets: the later one's position.
+
+    A pair and its reverse, and all pairs with the same larger factor,
+    then share a shard and the memos filled for them there.
+    """
+    pos = {P: i for i, P in enumerate(grid)}
+    return lambda pr: max(pos[pr[0]], pos[pr[1]])
 
 
 def _poset_pair_json(pr):
@@ -189,14 +345,15 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
     kj = lambda k: {"comp": comp_json(k[1])}
     kj2 = lambda k: {"first": comp_json(k[1]), "second": comp_json(k[2])}
     return [
-        _scan("poset-counit", grid, _poset_counit_ok, poset_json),
-        _scan("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
-        _scan("poset-bialgebra", pairs, _poset_bialgebra_ok, _poset_pair_json),
-        _scan("poset-antipode", grid, _poset_antipode_ok, poset_json),
-        _scan("qsym-counit", keys, _qsym_counit_ok, kj),
-        _scan("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
-        _scan("qsym-bialgebra", prods, _qsym_bialgebra_ok, kj2),
-        _scan("qsym-antipode", keys, _qsym_antipode_ok, kj),
+        ("poset-counit", grid, _poset_counit_ok, poset_json),
+        ("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
+        ("poset-bialgebra", pairs, _poset_bialgebra_ok, _poset_pair_json,
+         _by_larger_factor(grid)),
+        ("poset-antipode", grid, _poset_antipode_ok, poset_json),
+        ("qsym-counit", keys, _qsym_counit_ok, kj),
+        ("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
+        ("qsym-bialgebra", prods, _qsym_bialgebra_ok, kj2),
+        ("qsym-antipode", keys, _qsym_antipode_ok, kj),
     ]
 
 
@@ -207,12 +364,12 @@ def _morphism_suite(prefix, gf):
         grid = _poset_grid(m, max_n)
         pairs = _size_pairs(grid, max_n)
         return [
-            _scan(prefix + "-algebra", pairs,
-                  lambda pr: qs.multiply(gf(pr[0]), gf(pr[1]))
-                  == gf(ps.product_key(pr[0], pr[1])),
-                  _poset_pair_json),
-            _scan(prefix + "-coalgebra", grid,
-                  lambda P: _coalgebra_ok(gf, P), poset_json),
+            (prefix + "-algebra", pairs,
+             lambda pr: qs.multiply(gf(pr[0]), gf(pr[1]))
+             == gf(ps.product_key(pr[0], pr[1])),
+             _poset_pair_json),
+            (prefix + "-coalgebra", grid,
+             lambda P: _coalgebra_ok(gf, P), poset_json),
         ]
     return suite
 
@@ -225,20 +382,20 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
               if cb.weight(a) + cb.weight(b) <= max_n]
     fe = lambda a: qs.QElt.basis_elt(m, "F", a)
     return [
-        _scan("theta-after-gamma", grid,
-              lambda P: qs.peak_projection(qs.ppartition_gf(P))
-              == qs.enriched_gf(P),
-              poset_json),
-        _scan("theta-antipode-commutes", comps,
-              lambda a: qs.peak_projection(qs.antipode(fe(a)))
-              == qs.antipode(qs.peak_projection(fe(a))),
-              lambda a: {"comp": comp_json(a)}),
-        _scan("theta-algebra", cpairs,
-              lambda pr: qs.peak_projection(qs.multiply(fe(pr[0]), fe(pr[1])))
-              == qs.multiply(qs.peak_projection(fe(pr[0])),
-                             qs.peak_projection(fe(pr[1]))),
-              lambda pr: {"first": comp_json(pr[0]),
-                          "second": comp_json(pr[1])}),
+        ("theta-after-gamma", grid,
+         lambda P: qs.peak_projection(qs.ppartition_gf(P))
+         == qs.enriched_gf(P),
+         poset_json),
+        ("theta-antipode-commutes", comps,
+         lambda a: qs.peak_projection(qs.antipode(fe(a)))
+         == qs.antipode(qs.peak_projection(fe(a))),
+         lambda a: {"comp": comp_json(a)}),
+        ("theta-algebra", cpairs,
+         lambda pr: qs.peak_projection(qs.multiply(fe(pr[0]), fe(pr[1])))
+         == qs.multiply(qs.peak_projection(fe(pr[0])),
+                        qs.peak_projection(fe(pr[1]))),
+         lambda pr: {"first": comp_json(pr[0]),
+                     "second": comp_json(pr[1])}),
     ]
 
 
@@ -249,23 +406,23 @@ def _suite_antipode_consistency(m, max_n, max_N, seed):
     peaks = [a for n in range(max_n + 1) for a in cb.peak_compositions(m, n)]
     cjson = lambda a: {"comp": comp_json(a)}
     return [
-        _scan("monomial-closed-vs-inductive", comps,
-              lambda a: qs.antipode(_m_elt(m, a))
-              == qs.antipode_inductive_key(a, m),
-              cjson),
-        _scan("fundamental-vs-monomial-route", comps,
-              lambda a: qs.to_monomial(
-                  qs.antipode(qs.QElt.basis_elt(m, "F", a)))
-              == qs.antipode(qs.f_to_m(qs.QElt.basis_elt(m, "F", a))),
-              cjson),
-        _scan("peak-vs-monomial-route", peaks,
-              lambda a: qs.to_monomial(
-                  qs.antipode(qs.QElt.basis_elt(m, "K", a)))
-              == qs.antipode(qs.to_monomial(qs.QElt.basis_elt(m, "K", a))),
-              cjson),
-        _scan("poset-inductive-vs-chains", grid,
-              lambda P: ps.antipode_key(P) == ps.antipode_chains_key(P),
-              poset_json),
+        ("monomial-closed-vs-inductive", comps,
+         lambda a: qs.antipode(_m_elt(m, a))
+         == qs.antipode_inductive_key(a, m),
+         cjson),
+        ("fundamental-vs-monomial-route", comps,
+         lambda a: qs.to_monomial(
+             qs.antipode(qs.QElt.basis_elt(m, "F", a)))
+         == qs.antipode(qs.f_to_m(qs.QElt.basis_elt(m, "F", a))),
+         cjson),
+        ("peak-vs-monomial-route", peaks,
+         lambda a: qs.to_monomial(
+             qs.antipode(qs.QElt.basis_elt(m, "K", a)))
+         == qs.antipode(qs.to_monomial(qs.QElt.basis_elt(m, "K", a))),
+         cjson),
+        ("poset-inductive-vs-chains", grid,
+         lambda P: ps.antipode_key(P) == ps.antipode_chains_key(P),
+         poset_json),
     ]
 
 
@@ -277,24 +434,24 @@ def _suite_oracle_equivalence(m, max_n, max_N, seed):
     pairs = _size_pairs(grid, max_n)
     cj = lambda case: {"poset": poset_json(case[0]), "N": case[1]}
     return [
-        _scan("ppartitions-vs-gamma", cases,
-              lambda case: oc.enumerate_ppartitions(case[0], case[1])
-              == oc.truncate(qs.ppartition_gf(case[0]), case[1]),
-              cj),
-        _scan("enriched-vs-lambda", cases,
-              lambda case: oc.enumerate_enriched(case[0], case[1])
-              == oc.truncate(qs.enriched_gf(case[0]), case[1]),
-              cj),
-        _scan("oracle-product-law", pairs,
-              lambda pr: oc.product_law_check(
-                  pr[0], pr[1], ps.disjoint_union(pr[0], pr[1]), max_N),
-              _poset_pair_json),
-        _scan("split-alphabet", grid,
-              lambda P: oc.split_alphabet_check(P, max_N),
-              poset_json),
-        _scan("extension-partition", grid,
-              lambda P: oc.extension_partition_check(P, max_N),
-              poset_json),
+        ("ppartitions-vs-gamma", cases,
+         lambda case: oc.enumerate_ppartitions(case[0], case[1])
+         == oc.truncate(qs.ppartition_gf(case[0]), case[1]),
+         cj),
+        ("enriched-vs-lambda", cases,
+         lambda case: oc.enumerate_enriched(case[0], case[1])
+         == oc.truncate(qs.enriched_gf(case[0]), case[1]),
+         cj),
+        ("oracle-product-law", pairs,
+         lambda pr: oc.product_law_check(
+             pr[0], pr[1], ps.disjoint_union(pr[0], pr[1]), max_N),
+         _poset_pair_json),
+        ("split-alphabet", grid,
+         lambda P: oc.split_alphabet_check(P, max_N),
+         poset_json),
+        ("extension-partition", grid,
+         lambda P: oc.extension_partition_check(P, max_N),
+         poset_json),
     ]
 
 
@@ -331,12 +488,12 @@ def _suite_character_group(m, max_n, max_N, seed):
 
     pulls = [(j, P) for j in list(range(m)) + [None] for P in grid]
     return [
-        _scan("convolution-associativity", triples, assoc_ok,
-              lambda tr: {"names": [p.name for p in tr]}),
-        _scan("two-sided-inverse", gens, inverse_ok,
-              lambda p: {"name": p.name}),
-        _scan("zeta-pullback-along-gamma", pulls, pullback_ok,
-              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+        ("convolution-associativity", triples, assoc_ok,
+         lambda tr: {"names": [p.name for p in tr]}),
+        ("two-sided-inverse", gens, inverse_ok,
+         lambda p: {"name": p.name}),
+        ("zeta-pullback-along-gamma", pulls, pullback_ok,
+         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
     ]
 
 
@@ -375,12 +532,12 @@ def _suite_nu_counting(m, max_n, max_N, seed):
 
     singles = [(j, P) for j in range(m) for P in grid]
     return [
-        _scan("nu-single-color-counting", singles, single_ok,
-              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
-        _scan("nu-full-counting", grid, full_ok, poset_json),
-        _scan("nu-equals-zeta-after-lambda", grid, lambda_ok, poset_json),
-        _scan("nu-oddness", singles, odd_ok,
-              lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+        ("nu-single-color-counting", singles, single_ok,
+         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+        ("nu-full-counting", grid, full_ok, poset_json),
+        ("nu-equals-zeta-after-lambda", grid, lambda_ok, poset_json),
+        ("nu-oddness", singles, odd_ok,
+         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
     ]
 
 
@@ -396,9 +553,9 @@ def _suite_dimension_counts(m, max_n, max_N, seed):
             == cb.count_peak_compositions(m, n)
 
     return [
-        _scan("qsym-dimension-formula", levels, qsym_ok, lambda n: {"n": n}),
-        _scan("peak-dimension-recurrence", levels, peak_ok,
-              lambda n: {"n": n}),
+        ("qsym-dimension-formula", levels, qsym_ok, lambda n: {"n": n}),
+        ("peak-dimension-recurrence", levels, peak_ok,
+         lambda n: {"n": n}),
     ]
 
 

@@ -31,7 +31,9 @@ def _criterion(label, fn, budget=None):
 def _run_suites(names, m_values, max_n=None, max_N=None):
     for name in names:
         for m in m_values:
-            for check in verify.SUITES[name](m, max_n, max_N, 0):
+            checks, _ = verify.run_checks(
+                verify.SUITES[name](m, max_n, max_N, 0))
+            for check in checks:
                 assert check["checked"] > 0, (name, m, check["name"])
                 assert check["ok"], (name, m, check)
 

@@ -445,6 +445,11 @@ _M18 = _one_part("M", 18)    # 2^17 refinements in F
 _K10 = _one_part("K", 10)    # up to 4^9 terms on the way into F
 
 
+def _two_parts(a, b):
+    return {"m": 1, "basis": "M",
+            "terms": [{"coeff": 1, "comp": [[a, 0], [b, 0]]}]}
+
+
 def _shuffle_pair(a, b):
     return {"m": 1, "left": [[v, 0] for v in range(1, a + 1)],
             "right": [[v, 0] for v in range(a + 1, a + b + 1)]}
@@ -479,6 +484,9 @@ def _shuffle_pair(a, b):
      "terms in the F expansion must be <= 65536"),
     (("qsym", "antipode", "--route", "inductive", "--in", _payload(_F18)),
      "terms in the M expansion must be <= 65536"),
+    (("qsym", "antipode", "--route", "inductive", "--in",
+      _payload(_two_parts(4, 6))),
+     "inductive antipode shuffles and terms must be <= 65536"),
     (("oracle", "truncate", "--max-N", "1", "--in", _payload(_F18)),
      "terms in the M expansion must be <= 65536"),
     (("perm", "shuffle", "--in", _payload(_shuffle_pair(10, 10))),
@@ -489,7 +497,8 @@ def _shuffle_pair(a, b):
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
         "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
-        "qsym-theta", "qsym-antipode-inductive", "oracle-truncate-expansion",
+        "qsym-theta", "qsym-antipode-inductive",
+        "qsym-antipode-inductive-work", "oracle-truncate-expansion",
         "perm-shuffle", "qsym-product-shuffles"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
@@ -526,6 +535,13 @@ def test_bounds_admit_their_limits():
     code, out = _run("qsym", "product", "--in", _payload(
         {"first": _one_part("F", 9), "second": _one_part("F", 9)}))
     assert code == 0 and out["basis"] == "F" and out["terms"]
+    # S(M_(3,7)) cuts once: 4 * 64 F pairs of C(10, 3) = 120 chain pairs
+    # each, and 3^9 M terms, 50,403 in all; M_(4,6) counts 73,443
+    code, out = _run("qsym", "antipode", "--route", "inductive", "--in",
+                     _payload(_two_parts(3, 7)))
+    assert code == 0 and out["terms"] == [
+        {"coeff": 1, "comp": [[7, 0], [3, 0]]},
+        {"coeff": 1, "comp": [[10, 0]]}]
     # C(18, 9) = 48,620 shuffles of 9 + 9 letters
     code, out = _run("perm", "shuffle", "--in", _payload(_shuffle_pair(9, 9)))
     assert code == 0 and len(out["perms"]) == 48620

@@ -4,6 +4,8 @@ import copy
 import math
 import pickle
 
+import pytest
+
 from cqsym import poset as ps
 
 
@@ -245,13 +247,27 @@ def test_product_is_disjoint_union():
 
 
 def test_product_key_is_commutative_and_graded():
-    grid = _grid(2, 2)
-    for A in grid:
-        for B in grid:
-            K = ps.product_key(A, B)
-            # equivalent() compares interned instances by identity
-            assert K is ps.product_key(B, A) is ps.disjoint_union(A, B).canonical
-            assert K.n == A.n + B.n
+    # product_key builds the union from the factors' colors and closure
+    # masks; it must land on the representative of disjoint_union
+    for m in (1, 2):
+        grid = _grid(m, 4)
+        for A in grid:
+            for B in grid:
+                if A.n + B.n <= 4:
+                    K = ps.product_key(A, B)
+                    # equivalent() compares interned instances by identity
+                    assert K is ps.product_key(B, A) \
+                        is ps.disjoint_union(A, B).canonical
+                    assert K.n == A.n + B.n
+
+
+def test_product_key_of_labeled_factors():
+    # interleaved values across the factors land on the same class
+    A = _poset(2, [1, 5], [(1, 5)], {5: 1})
+    B = _poset(2, [2, 3], [(2, 3)], {2: 1})
+    assert ps.product_key(A, B) is ps.disjoint_union(A, B).canonical
+    with pytest.raises(ValueError):
+        ps.product_key(ps.empty_poset(1), ps.empty_poset(2))
 
 
 def test_unit_and_counit():

@@ -1,0 +1,183 @@
+"""The verify runner: sharded runs report exactly what a serial run does.
+
+The process count is forced through run_checks' processes argument, so
+these tests fork children whatever the grid size or the CPU count.
+"""
+
+import io
+import json
+import multiprocessing
+import os
+import threading
+import time
+from contextlib import redirect_stdout
+
+import pytest
+
+from cqsym import cli
+from cqsym import poset as ps
+from cqsym import verify
+
+
+def _strip_seconds(reports):
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in reports]
+
+
+def _run(specs, processes):
+    reports, stats = verify.run_checks(specs, processes)
+    assert stats["processes"] == processes
+    assert multiprocessing.active_children() == []
+    return _strip_seconds(reports)
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_every_suite_reports_the_same_serial_and_sharded(suite):
+    for m in (1, 2):
+        specs = verify.SUITES[suite](m, 3, 2, 0)
+        assert _run(specs, 2) == _run(specs, 1), (suite, m)
+
+
+def _spec(test, items=20):
+    return ("injected", list(range(items)), test, lambda i: {"item": i})
+
+
+def test_the_earliest_failure_over_all_shards_decides():
+    # 7 is in shard 1 of 2; shard 0 also fails, but later, at 12
+    specs = [_spec(lambda i: i not in (7, 12)), _spec(lambda i: True),
+             _spec(lambda i: i != 12)]
+    serial = _run(specs, 1)
+    assert serial == _run(specs, 2) == _run(specs, 3)
+    assert [(r["ok"], r["checked"], r["counterexample"]) for r in serial] == [
+        (False, 8, {"item": 7}), (True, 20, None), (False, 13, {"item": 12})]
+
+
+def test_owner_keys_keep_the_serial_report():
+    # item i runs in shard (i // 4) % k; the only failure is in shard 1
+    spec = _spec(lambda i: i != 5) + (lambda i: i // 4,)
+    assert list(verify._shard(spec, 1, 2)) == [4, 5, 6, 7, 12, 13, 14, 15]
+    assert _run([spec], 2) == _run([spec], 1) == [
+        {"name": "injected", "ok": False, "checked": 6,
+         "counterexample": {"item": 5}}]
+
+
+def _raise_at(bad):
+    def test(i):
+        if i == bad:
+            raise ZeroDivisionError("no inverse at %d" % i)
+        return True
+    return test
+
+
+def test_an_exception_in_a_child_is_raised_again_here():
+    for processes in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="^no inverse at 7$"):
+            verify.run_checks([_spec(_raise_at(7))], processes)
+        assert multiprocessing.active_children() == []
+
+
+def test_a_failure_before_the_exception_is_reported_instead():
+    def test(i):
+        return _raise_at(9)(i) and i != 4
+    assert _run([_spec(test)], 2) == _run([_spec(test)], 1)
+
+
+def test_an_exception_met_only_in_a_child_still_fails_the_run():
+    parent = os.getpid()
+
+    def test(i):
+        return _raise_at(7)(i) if os.getpid() != parent else True
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: no inverse"):
+        verify.run_checks([_spec(test)], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_here_stops_the_children_at_once():
+    parent = os.getpid()
+
+    def test(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(5)
+        return True
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_checks([_spec(test)], 3)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - t0 < 4
+
+
+def test_a_check_takes_the_time_of_its_slowest_shard():
+    parent = os.getpid()
+
+    def test(i):
+        if os.getpid() != parent:
+            time.sleep(0.05)
+        return True
+    reports, _ = verify.run_checks([_spec(test, items=8)], 2)
+    assert reports[0]["seconds"] >= 0.2
+
+
+def test_a_process_with_other_threads_runs_serially():
+    assert verify._processes(verify.SHARD_FLOOR - 1) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert verify._processes(10 ** 9) == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def _cli(monkeypatch, processes, *argv):
+    monkeypatch.setattr(verify, "_processes", lambda cases: processes)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert multiprocessing.active_children() == []
+    return code, buf.getvalue()
+
+
+def test_a_child_exception_gives_the_serial_internal_error(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "dimension-counts",
+                        lambda m, max_n, max_N, seed: [_spec(_raise_at(3))])
+    argv = ("verify", "--suite", "dimension-counts")
+    serial = _cli(monkeypatch, 1, *argv)
+    assert serial == _cli(monkeypatch, 2, *argv)
+    assert serial[0] == 4
+    assert json.loads(serial[1]) == {"error": {
+        "type": "internal", "detail": "ZeroDivisionError: no inverse at 3"}}
+
+
+def test_sharding_changes_only_the_stats_block(monkeypatch):
+    argv = ("verify", "--suite", "hopf-axioms", "--m", "2", "--max-n", "3")
+    assert _cli(monkeypatch, 2, *argv) == _cli(monkeypatch, 1, *argv)
+    code, out = _cli(monkeypatch, 2, *argv, "--stats")
+    stats = json.loads(out)["stats"]
+    assert code == 0 and stats["processes"] == 2
+    for name, own in verify.cache_stats().items():
+        summed = stats["caches"][name]
+        assert summed["maxsize"] == own["maxsize"]
+        for field in ("hits", "misses", "currsize"):
+            assert summed[field] >= own[field], (name, field)
+
+
+def test_stats_add_the_memo_filling_of_every_child():
+    grid = [P for n in range(3) for P in ps.canonical_posets(2, n)]
+    spec = ("products", [(A, B) for A in grid for B in grid],
+            lambda pr: ps.product_key(*pr).n == pr[0].n + pr[1].n,
+            lambda pr: None)
+    ps._union.cache_clear()
+    verify.run_checks([spec], 1)
+    serial = ps._union.cache_info().misses
+    ps._union.cache_clear()
+    _, stats = verify.run_checks([spec], 2)
+    grown = stats["caches"]
+    own = ps._union.cache_info()
+    assert 0 < grown["poset._union", "misses"] and 0 < own.misses < serial
+    summed = verify.cache_stats(grown)["poset._union"]
+    assert summed["misses"] == own.misses + grown["poset._union", "misses"]
+    assert summed["misses"] >= serial
+    assert summed["currsize"] == own.currsize + grown["poset._union",
+                                                       "currsize"]
