@@ -15,10 +15,12 @@ Canonical instances (values 1..n, fixed points of canonical_form) are
 interned: one object per equivalence class per process.  They are the
 basis keys of the algebra elements (PElt), and they hash by identity:
 an equal labeled poset hashes as its representative.  Per order
-structure (closure masks), a functools cache holds the ideal masks and
-the plan that cuts a poset along each of them; the canonical ideal
-splits themselves are memoized on the instance, products and antipodes
-in process-wide functools caches.
+structure (closure masks), functools caches hold what the canonical
+posets of that structure share (closure and below masks, cover pairs;
+values 1..n once per size), the ideal masks, and the plan that cuts a
+poset along each ideal.  The canonical ideal splits are memoized on the
+instance, each distinct (ideal, rest) pair held once, and products and
+antipodes in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -53,6 +55,17 @@ def _sub_above(above, mask):
     pos = {i: p for p, i in enumerate(idxs)}
     return idxs, tuple(sum(1 << pos[j] for j in _bits(above[i] & mask))
                        for i in idxs)
+
+
+def _cover_pairs(values, above, below):
+    """(lower value, upper value) pairs of the transitive reduction."""
+    out = []
+    for i, a in enumerate(above):
+        for j in _bits(a):
+            if not (a & below[j]):
+                out.append((values[i], values[j]))
+    out.sort()
+    return tuple(out)
 
 
 def _picker(idxs):
@@ -120,13 +133,7 @@ class Poset:
 
     def cover_pairs(self):
         """(lower value, upper value) pairs of the transitive reduction."""
-        out = []
-        for i in range(self.n):
-            for j in _bits(self.above[i]):
-                if not (self.above[i] & self.below[j]):
-                    out.append((self.values[i], self.values[j]))
-        out.sort()
-        return tuple(out)
+        return _cover_pairs(self.values, self.above, self.below)
 
     def less(self, a, b):
         """Is value a below value b in the order?"""
@@ -172,8 +179,8 @@ class Poset:
         if self._splits is None:
             m, colors = self.m, self.colors
             self._splits = tuple(
-                (_canonical_from(m, pick_i(colors), above_i),
-                 _canonical_from(m, pick_r(colors), above_r))
+                _split_pair(_canonical_from(m, pick_i(colors), above_i),
+                            _canonical_from(m, pick_r(colors), above_r))
                 for pick_i, above_i, pick_r, above_r
                 in _split_plan(self.above)[1])
         return self._splits
@@ -347,24 +354,53 @@ def _struct_canon(above):
     return (above_c, orders)
 
 
+@cache
+def _values(n):
+    return tuple(range(1, n + 1))
+
+
+@cache
+def _shape(above):
+    """What the canonical posets of one order structure share: values
+    1..n, closure masks, below masks and cover pairs."""
+    values, below = _values(len(above)), _invert(above)
+    return values, above, below, _cover_pairs(values, above, below)
+
+
+@cache
+def _split_pair(I, R):
+    """One (ideal, rest) tuple per distinct pair, shared by every split."""
+    return I, R
+
+
 class _Canonical(Poset):
     """An interned class representative.  No other representative equals
     it, and an equal labeled poset hashes through it, so it can hash by
-    identity, in C."""
+    identity, in C.  Its values, masks and cover pairs are its
+    structure's shared ones."""
 
     __slots__ = ()
     __hash__ = object.__hash__
+
+    def __init__(self, m, colors, above):
+        self.values, self.above, self.below, _ = _shape(above)
+        self.m = m
+        self.n = len(colors)
+        self.colors = colors
+        self._canon = self
+        self._splits = None
 
     def __reduce__(self):
         # copies and unpickled objects are the interned instance itself
         return (_intern_canonical, (self.m, self.colors, self.above))
 
+    def cover_pairs(self):
+        return _shape(self.above)[3]
+
 
 @cache
 def _intern_canonical(m, colors, above):
-    inst = _Canonical(m, tuple(range(1, len(colors) + 1)), colors, above)
-    inst._canon = inst
-    return inst
+    return _Canonical(m, colors, above)
 
 
 @cache
@@ -610,6 +646,13 @@ def _antipode(P):
         for Q, c in _antipode(I).items():
             iadd(acc, product_key(Q, R), -c)
     return acc
+
+
+# antipode_key without the memo entry for P itself: a fresh map, built
+# from the memoized S of P's proper ideals.  For a caller that needs S(P)
+# once, of a P that no other poset reads as an ideal, such as the top
+# size of a verify grid; memoized there it would only hold memory.
+antipode_key_unmemoized = _antipode.__wrapped__
 
 
 def antipode_chains_key(P):

@@ -15,9 +15,10 @@ are the closed forms: coarsen-and-reverse with sign on M, conjugation
 with sign on F, reversal of a representative chain on K.
 
 The F/K product of two keys, the F/K cuts of one key, the refinements
-of one key and the M expansion of one K key are memoized per key.  The
-cached maps and tuples are shared, so callers only read them and never
-mutate them; the public k_to_m_key hands out a copy.
+of one key, the M expansion of one K key and the peak test of one K key
+are memoized per key.  The cached maps and tuples are shared, so callers
+only read them and never mutate them; the public k_to_m_key hands out a
+copy.
 """
 
 from functools import cache
@@ -45,7 +46,7 @@ class QElt:
                 if not c:
                     continue
                 alpha = tuple(map(tuple, alpha))
-                if basis == "K" and not cb.is_peak_composition(alpha):
+                if basis == "K" and not _is_peak_key(alpha):
                     raise ValueError("K-basis keys must be peak compositions")
                 iadd(clean, alpha, c)
         self.terms = clean
@@ -139,6 +140,12 @@ def m_to_f(e):
         for beta in _refinements(alpha):
             iadd(out, beta, -c if (len(beta) - la) % 2 else c)
     return QElt(e.m, "F", out)
+
+
+@cache
+def _is_peak_key(alpha):
+    """cb.is_peak_composition(alpha), memoized per key."""
+    return cb.is_peak_composition(alpha)
 
 
 @cache

@@ -258,11 +258,14 @@ def _poset_bialgebra_ok(pair):
 
 
 def _poset_antipode_ok(P):
+    # S(P) is read here twice and, at the grid's top size, nowhere else,
+    # so it is computed once and kept out of the antipode memo
+    own = ps.antipode_key_unmemoized(P)
     left, right = {}, {}
     for I, R in P.splits():
-        for Q, c in ps.antipode_key(I).items():
+        for Q, c in (own if R.n == 0 else ps.antipode_key(I)).items():
             iadd(left, ps.product_key(Q, R), c)
-        for Q, c in ps.antipode_key(R).items():
+        for Q, c in (own if I.n == 0 else ps.antipode_key(R)).items():
             iadd(right, ps.product_key(I, Q), c)
     want = {P: 1} if P.n == 0 else {}
     return left == want and right == want

@@ -70,6 +70,22 @@ def test_peak_basis_rejects_non_peak_keys():
     raise AssertionError("K accepted a non-peak composition")
 
 
+def test_peak_key_memo_still_rejects_non_peak_keys():
+    # the peak test is memoized per key; a cached peak key must not let
+    # another, non-peak key through, nor a repeat of the rejected one
+    good, bad = ((2, 0), (1, 0)), ((1, 0), (2, 0))
+    qs._is_peak_key.cache_clear()
+    for _ in range(2):
+        assert _basis(1, "K", good).terms == {good: 1}
+        for key in (bad, ((1, 1), (1, 1))):
+            try:
+                _basis(2, "K", key)
+            except ValueError:
+                continue
+            raise AssertionError("K accepted the non-peak key %r" % (key,))
+    assert qs._is_peak_key.cache_info().currsize == 3
+
+
 def test_memoized_expansions_survive_callers_mutating_results():
     # two terms each, so an expansion accumulated into a shared per-key
     # map or tuple would show on the repeat

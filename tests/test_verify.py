@@ -181,3 +181,35 @@ def test_stats_add_the_memo_filling_of_every_child():
     assert summed["misses"] >= serial
     assert summed["currsize"] == own.currsize + grown["poset._union",
                                                        "currsize"]
+
+
+def _chain(colors):
+    return ps.chain_poset(2, [(v, c) for v, c in enumerate(colors, 1)])
+
+
+def test_the_antipode_check_keeps_no_memo_entry_for_its_own_poset():
+    P = _chain((0, 1, 1)).canonical
+    ps._antipode.cache_clear()
+    try:
+        assert verify._poset_antipode_ok(P)
+        held = ps._antipode.cache_info()
+        # S of the proper ideals is memoized; S(P) is a miss now
+        assert held.currsize > 0
+        assert ps.antipode_key(P) == ps.antipode_chains_key(P)
+        assert ps._antipode.cache_info().misses == held.misses + 1
+    finally:
+        ps._antipode.cache_clear()
+
+
+@pytest.mark.parametrize("piece", [(0, 1), (1, 1)])
+def test_the_antipode_check_fails_on_a_wrong_memoized_antipode(piece):
+    # in the chain 0 < 1 < 1, (0, 1) is only an ideal and (1, 1) only a
+    # complement, so each route of the check meets its own wrong S
+    P, Q = _chain((0, 1, 1)).canonical, _chain(piece).canonical
+    ps._antipode.cache_clear()
+    try:
+        assert verify._poset_antipode_ok(P)
+        ps.antipode_key(Q)[Q] += 1
+        assert not verify._poset_antipode_ok(P)
+    finally:
+        ps._antipode.cache_clear()
