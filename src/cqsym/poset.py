@@ -17,10 +17,12 @@ basis keys of the algebra elements (PElt), and they hash by identity:
 an equal labeled poset hashes as its representative.  Per order
 structure (closure masks), functools caches hold what the canonical
 posets of that structure share (closure and below masks, cover pairs;
-values 1..n once per size), the ideal masks, and the plan that cuts a
-poset along each ideal.  The canonical ideal splits are memoized on the
-instance, each distinct (ideal, rest) pair held once, and products and
-antipodes in process-wide functools caches.
+values 1..n once per size), the ideal masks, the plan that cuts a
+poset along each ideal, and the table of linear extensions (each as an
+index order and its ascent mask), which persists for the process: n!
+entries on an n-element antichain.  The canonical ideal splits are
+memoized on the instance, each distinct (ideal, rest) pair held once,
+and products and antipodes in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -96,6 +98,33 @@ def _split_plan(above):
         rest, above_r = _sub_above(above, full & ~mask)
         plan.append((_picker(idxs), above_i, _picker(rest), above_r))
     return tuple(masks), tuple(plan)
+
+
+@cache
+def extension_table(above):
+    """The linear extensions of an order structure, depth first with the
+    least available index first: per extension, a _picker of its index
+    order and the bitmask of its ascents (bit t set when the index at
+    position t is below the one at t + 1, so the values rise there).
+
+    An antichain on n elements has n! extensions; the table holds one
+    entry per extension for the life of the process."""
+    n, below = len(above), _invert(above)
+    out = []
+    acc = [None] * n
+
+    def rec(t, assigned, ascents):
+        if t == n:
+            out.append((_picker(acc), ascents))
+            return
+        for i in _bits(~assigned & ((1 << n) - 1)):
+            if not (below[i] & ~assigned):
+                acc[t] = i
+                rise = 1 << (t - 1) if t and acc[t - 1] < i else 0
+                rec(t + 1, assigned | (1 << i), ascents | rise)
+
+    rec(0, 0, 0)
+    return tuple(out)
 
 
 class Poset:
@@ -187,23 +216,8 @@ class Poset:
 
     def linear_extensions(self):
         """All linear extensions, as colored permutations in P's letters."""
-        n, below = self.n, self.below
         letters = self.elements()
-        out = []
-        acc = [None] * n
-
-        def rec(t, assigned):
-            if t == n:
-                out.append(tuple(acc))
-                return
-            avail = ~assigned & ((1 << n) - 1)
-            for i in _bits(avail):
-                if not (below[i] & ~assigned):
-                    acc[t] = letters[i]
-                    rec(t + 1, assigned | (1 << i))
-
-        rec(0, 0)
-        return out
+        return [pick(letters) for pick, _ in extension_table(self.above)]
 
 
 # --- construction ---------------------------------------------------------

@@ -14,11 +14,23 @@ the resulting descent/peak compositions are collected.  The antipodes
 are the closed forms: coarsen-and-reverse with sign on M, conjugation
 with sign on F, reversal of a representative chain on K.
 
+Γ and Λ sum over the linear extensions of a poset's canonical form,
+read off its structure's extension table (poset.extension_table): each
+extension gives the colors along it and its ascent mask, and the
+descent or peak composition is memoized per such pattern.
+
 The F/K product of two keys, the F/K cuts of one key, the refinements
-of one key, the M expansion of one K key and the peak test of one K key
-are memoized per key.  The cached maps and tuples are shared, so callers
-only read them and never mutate them; the public k_to_m_key hands out a
-copy.
+of one key, the M expansion of one K key, the peak test of one K key,
+Γ and Λ of one canonical poset and the statistic of one (colors, ascent
+mask) pattern are memoized.  The cached maps and tuples are shared, so
+callers only read them and never mutate them; the public k_to_m_key
+hands out a copy.
+
+The constructor cleans the term maps it is given (tuple keys, zeros
+dropped, K keys checked).  The maps that build their results here
+(multiply, f_to_m, m_to_f, k_to_m, antipode, peak_projection, Γ and Λ)
+make clean maps already and wrap them through _built without cleaning
+them again.
 """
 
 from functools import cache
@@ -36,6 +48,8 @@ class QElt:
     __slots__ = ("m", "basis", "terms")
 
     def __init__(self, m, basis, terms=None):
+        """Validate and clean a term map: tuple keys, zero coefficients
+        dropped, equal keys merged, K keys checked to be peak keys."""
         if basis not in BASES:
             raise ValueError("basis must be one of %r" % (BASES,))
         self.m = m
@@ -117,6 +131,16 @@ class QElt:
         return self.scale(c)
 
 
+def _built(m, basis, terms):
+    """A QElt over a term map that this module built itself, without
+    __init__'s cleaning.  The map must already be clean: keys are tuples
+    of (size, color) tuples, no coefficient is zero, every K key is a
+    peak composition, and no one else holds the dict."""
+    e = QElt.__new__(QElt)
+    e.m, e.basis, e.terms = m, basis, terms
+    return e
+
+
 # --- basis conversions ----------------------------------------------------
 
 def f_to_m(e):
@@ -127,7 +151,7 @@ def f_to_m(e):
     for alpha, c in e.terms.items():
         for beta in _refinements(alpha):
             iadd(out, beta, c)
-    return QElt(e.m, "M", out)
+    return _built(e.m, "M", out)
 
 
 def m_to_f(e):
@@ -139,7 +163,7 @@ def m_to_f(e):
         la = len(alpha)
         for beta in _refinements(alpha):
             iadd(out, beta, -c if (len(beta) - la) % 2 else c)
-    return QElt(e.m, "F", out)
+    return _built(e.m, "F", out)
 
 
 @cache
@@ -192,7 +216,7 @@ def k_to_m(e):
     out = {}
     for alpha, c in e.terms.items():
         iadd_scaled(out, _k_to_m_key(alpha, e.m), c)
-    return QElt(e.m, "M", out)
+    return _built(e.m, "M", out)
 
 
 def peak_function(m, alpha):
@@ -265,7 +289,7 @@ def multiply(a, b):
     for alpha, ca in a.terms.items():
         for beta, cb_ in b.terms.items():
             iadd_scaled(out, _mul_keys(alpha, beta, basis), ca * cb_)
-    return QElt(a.m, basis, out)
+    return _built(a.m, basis, out)
 
 
 # --- coproduct ------------------------------------------------------------
@@ -327,7 +351,7 @@ def antipode(e):
         for alpha, c in e.terms.items():
             sign = -c if cb.weight(alpha) % 2 else c
             iadd(out, stat(cb.rep_chain(alpha)[::-1]), sign)
-    return QElt(e.m, e.basis, out)
+    return _built(e.m, e.basis, out)
 
 
 def antipode_m_key(alpha):
@@ -378,7 +402,7 @@ def peak_projection(e):
     out = {}
     for alpha, c in e.terms.items():
         iadd(out, cb.hat(alpha), c)
-    return QElt(e.m, "K", out)
+    return _built(e.m, "K", out)
 
 
 @cache
@@ -386,13 +410,30 @@ def _extension_gf(c, basis):
     """Sum of the basis element at _stat(basis)(pi) over linear extensions pi.
 
     Depends only on the equivalence class, so callers pass the canonical
-    form c and the result is memoized on it.
+    form c and the result is memoized on it.  Each extension is read off
+    its structure's extension table as the colors along it and its
+    ascent mask, which determine the statistic.
     """
-    stat = _stat(basis)
+    colors = c.colors
     out = {}
-    for pi in c.linear_extensions():
-        iadd(out, stat(pi), 1)
-    return QElt(c.m, basis, out)
+    for pick, ascents in ps.extension_table(c.above):
+        iadd(out, _pattern_stat(pick(colors), ascents, basis), 1)
+    return _built(c.m, basis, out)
+
+
+@cache
+def _pattern_stat(colors, ascents, basis):
+    """_stat(basis) of every chain with these colors whose values rise
+    exactly at the positions of the ascent mask.
+
+    Both statistics compare adjacent letters only, so any values with
+    that rise pattern serve; this walks up or down by one per position.
+    """
+    pi, v = [], 0
+    for t, color in enumerate(colors):
+        pi.append((v, color))
+        v += 1 if ascents >> t & 1 else -1
+    return _stat(basis)(tuple(pi))
 
 
 def ppartition_gf(P):

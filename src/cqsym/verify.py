@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter
 
 from . import characters as ch
@@ -199,6 +200,17 @@ def _comp_grid(m, max_n):
             for a in cb.enumerate_compositions(m, n)]
 
 
+def _weight_pairs(comps, max_total):
+    """Pairs (a, b) of the weight-sorted composition grid comps with
+    weight(a) + weight(b) <= max_total, in nested-loop order over comps.
+
+    Each a pairs with the prefix of comps up to weight max_total - weight(a).
+    """
+    weights = [cb.weight(a) for a in comps]
+    return [(a, b) for a, w in zip(comps, weights)
+            for b in comps[:bisect_right(weights, max_total - w)]]
+
+
 def _size_pairs(grid, max_total):
     bysize = {}
     for P in grid:
@@ -342,9 +354,9 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
     grid = _poset_grid(m, max_n)
     pairs = _size_pairs(grid, max_n)
     qn = min(max_n, 4)
-    keys = [(m, a) for a in _comp_grid(m, qn)]
-    prods = [(m, a, b) for _, a in keys for _, b in keys
-             if cb.weight(a) + cb.weight(b) <= qn]
+    comps = _comp_grid(m, qn)
+    keys = [(m, a) for a in comps]
+    prods = [(m, a, b) for a, b in _weight_pairs(comps, qn)]
     kj = lambda k: {"comp": comp_json(k[1])}
     kj2 = lambda k: {"first": comp_json(k[1]), "second": comp_json(k[2])}
     return [
@@ -381,8 +393,7 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
     max_n = 5 if max_n is None else max_n
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
-    cpairs = [(a, b) for a in comps for b in comps
-              if cb.weight(a) + cb.weight(b) <= max_n]
+    cpairs = _weight_pairs(comps, max_n)
     fe = lambda a: qs.QElt.basis_elt(m, "F", a)
     return [
         ("theta-after-gamma", grid,

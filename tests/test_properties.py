@@ -1,8 +1,9 @@
 """Seeded property tests on random labeled posets beyond the exhaustive grid.
 
-Each poset has 6 or 7 elements, m <= 2, arbitrary distinct values and a
-random order built along a random topological order.  The runs are
-derandomized, so every run sees the same examples.
+Each poset has 6 or 7 elements (up to 8 where a test says so), m <= 2,
+arbitrary distinct values and a random order built along a random
+topological order.  The runs are derandomized, so every run sees the
+same examples.
 """
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from extension_reference import (assert_gfs_match_reference,
+                                 reference_extensions)
 from oracle_reference import assert_kernels_match_reference
 
 SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
@@ -22,9 +25,9 @@ SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
 
 
 @st.composite
-def labeled_posets(draw):
+def labeled_posets(draw, max_n=7):
     m = draw(st.integers(1, 2))
-    n = draw(st.integers(6, 7))
+    n = draw(st.integers(6, max_n))
     values = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n,
                            unique=True))
     colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
@@ -66,6 +69,13 @@ def test_generating_functions_match_the_oracle(P):
     assert qs.peak_projection(gamma) == lam
     assert oc.enumerate_ppartitions(P, 2) == oc.truncate(gamma, 2)
     assert oc.enumerate_enriched(P, 2) == oc.truncate(lam, 2)
+
+
+@SEEDED
+@given(labeled_posets(max_n=8))
+def test_extensions_and_generating_functions_match_the_reference(P):
+    assert P.linear_extensions() == reference_extensions(P)
+    assert_gfs_match_reference(P)
 
 
 @SEEDED

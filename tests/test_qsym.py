@@ -2,10 +2,15 @@
 maps from posets."""
 
 import itertools
+from fractions import Fraction
+
+import pytest
 
 from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from extension_reference import (assert_gfs_match_reference,
+                                 reference_extensions)
 
 
 def _M(m, *alphas):
@@ -402,6 +407,90 @@ def test_theta_commutes_with_antipode():
             lhs = qs.peak_projection(qs.m_to_f(qs.to_monomial(qs.antipode(e))))
             rhs = qs.antipode(qs.to_monomial(qs.peak_projection(e)))
             assert lhs == rhs
+
+
+def test_gamma_and_lambda_match_the_reference_walk_on_the_grids():
+    for m, max_n in ((1, 5), (2, 5), (3, 4)):
+        for n in range(max_n + 1):
+            for P in ps.canonical_posets(m, n):
+                assert_gfs_match_reference(P)
+
+
+def test_linear_extensions_match_the_reference_walk():
+    # every labeled order, not only canonical ones: the table is keyed on
+    # a structure's closure masks, whichever labeling they come from
+    for n in range(6):
+        values = tuple(range(2, 2 * n + 2, 2))
+        colors = tuple(i % 2 for i in range(n))
+        for above in ps.labeled_orders(n):
+            P = ps.Poset(2, values, colors, above)
+            assert P.linear_extensions() == reference_extensions(P)
+
+
+@pytest.mark.parametrize("m, f_terms, k_terms", [(1, 128, 21),
+                                                  (2, 838, 154)])
+def test_gamma_and_lambda_of_an_eight_element_antichain(m, f_terms, k_terms):
+    P = ps.antichain_poset(m, [(v, v % m) for v in range(1, 9)])
+    assert_gfs_match_reference(P)
+    gamma, lam = qs.ppartition_gf(P), qs.enriched_gf(P)
+    assert (len(gamma.terms), len(lam.terms)) == (f_terms, k_terms)
+    assert sum(gamma.terms.values()) == sum(lam.terms.values()) == 40320
+
+
+# --- maps that skip QElt's cleaning ---------------------------------------
+
+def _assert_clean(e):
+    """e's term map is what the public constructor would make of it."""
+    for key, c in e.terms.items():
+        assert type(key) is tuple and all(type(p) is tuple for p in key)
+        assert c != 0
+        assert e.basis != "K" or cb.is_peak_composition(key)
+    again = qs.QElt(e.m, e.basis, e.terms)
+    assert list(again.terms.items()) == list(e.terms.items())
+
+
+def _mixed(m, letter, keys):
+    # signed and fractional coefficients, so products and conversions of
+    # these can cancel to zero
+    coeffs = itertools.cycle((1, -1, 2, Fraction(1, 2), -3))
+    return qs.QElt(m, letter, {a: c for a, c in zip(keys, coeffs)})
+
+
+def test_internal_maps_give_clean_elements():
+    for m in (1, 2):
+        comps = list(_comps(m, 3))
+        peaks = [a for n in range(4) for a in cb.peak_compositions(m, n)]
+        elts = {"M": [_basis(m, "M", a) for a in comps],
+                "F": [_basis(m, "F", a) for a in comps],
+                "K": [_basis(m, "K", a) for a in peaks]}
+        for letter, keys in (("M", comps), ("F", comps), ("K", peaks)):
+            elts[letter] += [_mixed(m, letter, keys[i:i + 3])
+                             for i in range(0, len(keys), 2)]
+        for e in elts["M"]:
+            _assert_clean(qs.m_to_f(e))
+        for e in elts["F"]:
+            _assert_clean(qs.f_to_m(e))
+            _assert_clean(qs.peak_projection(e))
+        for e in elts["K"]:
+            _assert_clean(qs.k_to_m(e))
+        for letter in qs.BASES:
+            for e in elts[letter]:
+                _assert_clean(qs.antipode(e))
+            for x in elts[letter][::3]:
+                for y in elts["F"][::4] + elts[letter][::5]:
+                    _assert_clean(qs.multiply(x, y))
+        for n in range(5):
+            for P in ps.canonical_posets(m, n):
+                _assert_clean(qs.ppartition_gf(P))
+                _assert_clean(qs.enriched_gf(P))
+
+
+def test_the_public_constructor_still_cleans():
+    e = qs.QElt(2, "F", {((1, 0),): 0, ((2, 1),): Fraction(0),
+                         ((1, 1),): 3})
+    assert e.terms == {((1, 1),): 3}
+    with pytest.raises(ValueError, match="peak"):
+        qs.QElt(1, "K", {((1, 0), (2, 0)): 1})
 
 
 def test_peak_function_helper():

@@ -16,6 +16,7 @@ import pytest
 
 from cqsym import cli
 from cqsym import poset as ps
+from cqsym import qsym as qs
 from cqsym import verify
 
 
@@ -161,6 +162,22 @@ def test_sharding_changes_only_the_stats_block(monkeypatch):
         assert summed["maxsize"] == own["maxsize"]
         for field in ("hits", "misses", "currsize"):
             assert summed[field] >= own[field], (name, field)
+
+
+def test_stats_show_the_extension_memos_grown_in_children(monkeypatch):
+    # a memoized Γ would never read the two new caches, so it goes too
+    new = (ps.extension_table, qs._pattern_stat)
+    for fn in new + (qs._extension_gf,):
+        fn.cache_clear()
+    argv = ("verify", "--suite", "gamma-morphism", "--m", "2", "--max-n", "3",
+            "--stats")
+    code, out = _cli(monkeypatch, 2, *argv)
+    caches = json.loads(out)["stats"]["caches"]
+    assert code == 0
+    for fn in new:
+        summed = caches["%s.%s" % (fn.__module__[6:], fn.__name__)]
+        own = fn.cache_info().currsize
+        assert 0 < own < summed["currsize"], fn.__name__
 
 
 def test_stats_add_the_memo_filling_of_every_child():
