@@ -662,13 +662,6 @@ def _antipode(P):
     return acc
 
 
-# antipode_key without the memo entry for P itself: a fresh map, built
-# from the memoized S of P's proper ideals.  For a caller that needs S(P)
-# once, of a P that no other poset reads as an ideal, such as the top
-# size of a verify grid; memoized there it would only hold memory.
-antipode_key_unmemoized = _antipode.__wrapped__
-
-
 def antipode_chains_key(P):
     """S by the alternating sum over strict chains of order ideals.
 

@@ -18,6 +18,8 @@ from cqsym import cli
 from cqsym import poset as ps
 from cqsym import qsym as qs
 from cqsym import verify
+from hopf_reference import (reference_antipode_ok, reference_bialgebra_ok,
+                            reference_coassoc_ok)
 
 
 def _strip_seconds(reports):
@@ -230,3 +232,57 @@ def test_the_antipode_check_fails_on_a_wrong_memoized_antipode(piece):
         assert not verify._poset_antipode_ok(P)
     finally:
         ps._antipode.cache_clear()
+
+
+def test_the_poset_checks_agree_with_the_reference():
+    for m in (1, 2):
+        grid = verify._poset_grid(m, 4)
+        for P in grid:
+            assert verify._poset_coassoc_ok(P) == reference_coassoc_ok(P), P
+            assert verify._poset_antipode_ok(P) == reference_antipode_ok(P), P
+        for pr in verify._size_pairs(grid, 4):
+            assert (verify._poset_bialgebra_ok(pr)
+                    == reference_bialgebra_ok(pr)), pr
+
+
+@pytest.mark.parametrize("piece", [(0, 1), (1, 1)])
+def test_the_antipode_check_agrees_with_the_reference_on_a_wrong_antipode(
+        piece):
+    P, Q = _chain((0, 1, 1)).canonical, _chain(piece).canonical
+    ps._antipode.cache_clear()
+    try:
+        ps.antipode_key(Q)[Q] += 1
+        for X in verify._poset_grid(2, 4):
+            assert verify._poset_antipode_ok(X) == reference_antipode_ok(X), X
+        assert not verify._poset_antipode_ok(P)
+    finally:
+        ps._antipode.cache_clear()
+
+
+def _with_wrong_splits(Q, check, case):
+    """check(case) with the first of Q's memoized splits replaced by its
+    last, the memo restored after."""
+    good = Q.splits()
+    try:
+        Q._splits = (good[-1],) + good[1:]
+        return check(case)
+    finally:
+        Q._splits = good
+
+
+@pytest.mark.parametrize("piece", [(0, 1), (1, 1)])
+def test_the_coassociativity_check_fails_on_wrong_memoized_splits(piece):
+    # in the chain 0 < 1 < 1, (0, 1) is only an ideal and (1, 1) only a
+    # complement, so each side of the check meets the wrong splits
+    P, Q = _chain((0, 1, 1)).canonical, _chain(piece).canonical
+    assert verify._poset_coassoc_ok(P)
+    assert not _with_wrong_splits(Q, verify._poset_coassoc_ok, P)
+    assert verify._poset_coassoc_ok(P)
+
+
+def test_the_bialgebra_check_fails_on_wrong_memoized_splits_of_a_product():
+    pair = (_chain((0, 1)).canonical, _chain((1,)).canonical)
+    assert verify._poset_bialgebra_ok(pair)
+    assert not _with_wrong_splits(ps.product_key(*pair),
+                                  verify._poset_bialgebra_ok, pair)
+    assert verify._poset_bialgebra_ok(pair)
