@@ -4,16 +4,17 @@ A character is stored as a memoized function on basis keys: canonical posets
 on one side, compositions read through the monomial basis on the other.
 Convolution, the convolution inverse, and the induced morphism into QSym
 touch the underlying algebra only through a small Domain handle, so the
-machinery is shared between the two sides.
+machinery is shared between the two sides.  The induced morphism recurses
+over first splits, Psi(key) = sum of phi_j(a) M_((deg a, j)) . Psi(b) over
+splits (a, b) with deg a > 0, memoized per key for one call only.
 """
 
 from functools import cache
-from itertools import product
 
 from . import combinat as cb
 from . import poset as ps
 from . import qsym as qs
-from .terms import iadd
+from .terms import iadd_scaled
 
 
 class Domain:
@@ -71,7 +72,8 @@ class Character:
             return v
 
     def __call__(self, elt):
-        assert elt.m == self.domain.m
+        if elt.m != self.domain.m:
+            raise ValueError("operands must share the same number of colors")
         total = 0
         for key, c in self.domain.to_terms(elt).items():
             v = self.of_key(key)
@@ -91,7 +93,8 @@ def counit_character(domain):
 
 def convolve(phi, psi, name=None):
     """Convolution product: evaluate the pair across the coproduct."""
-    assert phi.domain is psi.domain
+    if phi.domain is not psi.domain:
+        raise ValueError("convolution needs characters on one domain")
     dom = phi.domain
 
     def fn(key):
@@ -143,7 +146,8 @@ def nu_pair(phi, psi, name=None):
 @cache
 def zeta_qsym(m, j):
     """One on the empty composition and on single parts of color j."""
-    assert 0 <= j < m
+    if not 0 <= j < m:
+        raise ValueError("character color must lie in range(m)")
 
     def fn(alpha):
         if not alpha:
@@ -156,7 +160,8 @@ def zeta_qsym(m, j):
 @cache
 def zeta_poset(m, j):
     """One on naturally labeled posets whose colors are all j."""
-    assert 0 <= j < m
+    if not 0 <= j < m:
+        raise ValueError("character color must lie in range(m)")
 
     def fn(P):
         if ps.is_monochromatic(P, j) and ps.is_naturally_labeled(P):
@@ -167,11 +172,11 @@ def zeta_poset(m, j):
 
 
 def _convolve_all(parts, name):
+    # a new Character even for one part: the cached part keeps its name
     phi = parts[0]
     for psi in parts[1:]:
         phi = convolve(phi, psi)
-    phi.name = name
-    return phi
+    return Character(phi.domain, phi._fn, name)
 
 
 @cache
@@ -206,56 +211,46 @@ def nu_poset_all(m):
     return _convolve_all([nu_poset(m, j) for j in range(m)], "nuP")
 
 
-@cache
-def _strict_splits(dom, key, parts):
-    """Iterated coproduct terms with every tensor factor of positive degree,
-    as a multiplicity map on tuples of keys."""
-    if parts == 1:
-        return {(key,): 1} if dom.degree(key) > 0 else {}
-    out = {}
-    for a, b in dom.splits(key):
-        if dom.degree(a) < 1 or dom.degree(b) < parts - 1:
-            continue
-        for tail, mult in _strict_splits(dom, b, parts - 1).items():
-            iadd(out, (a,) + tail, mult)
-    return out
-
-
 def universal_morphism(elt, chars):
     """Morphism into colored QSym induced by one character per color.
 
-    Each composition alpha picks out the coproduct terms whose degree
-    profile matches alpha; the part colors say which character to apply to
-    each tensor factor.  With the zeta families this gives the identity on
-    QSym and the P-partition generating function on posets.
+    Psi(key) is 1 in degree 0; otherwise it is the sum, over the splits
+    (a, b) of key with deg a > 0 and the colors j with chars[j](a) != 0,
+    of chars[j](a) * M_((deg a, j)) concatenated with Psi(b).  By
+    coassociativity that is the sum over every factorization into parts
+    of positive degree.  Psi is memoized per key for this call only.
+    With the zeta families this gives the identity on QSym and the
+    P-partition generating function on posets.
     """
     dom = chars[0].domain
     m = dom.m
-    assert len(chars) == m
-    for phi in chars:
-        assert phi.domain is dom
+    if len(chars) != m or any(phi.domain is not dom for phi in chars):
+        raise ValueError("universal morphism needs one character per color "
+                         "on one domain")
+    if elt.m != m:
+        raise ValueError("operands must share the same number of colors")
+    memo = {}
+
+    def psi(key):
+        # zero coefficients may stay in here; iadd_scaled drops them
+        if key in memo:
+            return memo[key]
+        out = {} if dom.degree(key) else {(): 1}
+        get = out.get
+        for a, b in dom.splits(key):
+            d = dom.degree(a)
+            if d:
+                for j, phi in enumerate(chars):
+                    v = phi.of_key(a)
+                    if v:
+                        head = ((d, j),)
+                        for alpha, c in psi(b).items():
+                            k = head + alpha
+                            out[k] = get(k, 0) + v * c
+        memo[key] = out
+        return out
+
     out = {}
     for key, c in dom.to_terms(elt).items():
-        n = dom.degree(key)
-        if n == 0:
-            iadd(out, (), c)
-            continue
-        for k in range(1, n + 1):
-            for factors, mult in _strict_splits(dom, key, k).items():
-                opts = []
-                for f in factors:
-                    vals = [(j, chars[j].of_key(f)) for j in range(m)]
-                    vals = [jv for jv in vals if jv[1]]
-                    if not vals:
-                        break
-                    opts.append(vals)
-                else:
-                    degs = tuple(dom.degree(f) for f in factors)
-                    for combo in product(*opts):
-                        coef = c * mult
-                        for _, v in combo:
-                            coef = coef * v
-                        alpha = tuple((degs[i], combo[i][0])
-                                      for i in range(k))
-                        iadd(out, alpha, coef)
+        iadd_scaled(out, psi(key), c)
     return qs.QElt(m, "M", out)

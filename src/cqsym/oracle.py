@@ -29,7 +29,7 @@ class TPoly:
 
     Terms map a sorted tuple of ((i, j), exponent) pairs to a coefficient.
     N records the truncation used to build the polynomial; equality ignores
-    it so shifted and doubled alphabets compare by content.
+    it, so polynomials built at different truncations compare by content.
     """
 
     __slots__ = ("N", "m", "terms")
@@ -50,36 +50,6 @@ class TPoly:
         return self.m == other.m and self.terms == other.terms
 
     __hash__ = None
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValueError("polynomials differ in color count")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            iadd(out, key, c)
-        return TPoly(max(self.N, other.N), self.m, out)
-
-    def __mul__(self, other):
-        if self.m != other.m:
-            raise ValueError("polynomials differ in color count")
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                exps = dict(ka)
-                for v, e in kb:
-                    exps[v] = exps.get(v, 0) + e
-                iadd(out, tuple(sorted(exps.items())), ca * cb)
-        return TPoly(max(self.N, other.N), self.m, out)
-
-    def shifted(self, offset):
-        """Move every first index up by offset (a later block of levels)."""
-        out = {}
-        for key, c in self.terms.items():
-            out[tuple((((i + offset), j), e) for (i, j), e in key)] = c
-        return TPoly(self.N + offset, self.m, out)
-
-    def total(self):
-        return sum(self.terms.values())
 
     def __repr__(self):
         def var(ij, e):

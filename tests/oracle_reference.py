@@ -3,6 +3,9 @@
 Each candidate level of each element is tested against everything below
 it, and each leaf builds its monomial.  The library kernels must count the
 same maps into the same terms, first visited in the same order.
+
+The polynomial arithmetic on oracle.TPoly that the identity checks used
+before they compared leaf tallies lives here too, as plain functions.
 """
 
 from cqsym import oracle as oc
@@ -93,3 +96,42 @@ def assert_kernels_match_reference(P, N):
         got, want = kernel(P, N).terms, ref(P, N).terms
         assert got == want, (kernel.__name__, P, N)
         assert list(got) == list(want), (kernel.__name__, P, N)
+
+
+# --- TPoly arithmetic -----------------------------------------------------
+
+def _same_m(p, q):
+    if p.m != q.m:
+        raise ValueError("polynomials differ in color count")
+
+
+def tpoly_add(p, q):
+    _same_m(p, q)
+    out = dict(p.terms)
+    for key, c in q.terms.items():
+        iadd(out, key, c)
+    return oc.TPoly(max(p.N, q.N), p.m, out)
+
+
+def tpoly_mul(p, q):
+    _same_m(p, q)
+    out = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            exps = dict(ka)
+            for v, e in kb:
+                exps[v] = exps.get(v, 0) + e
+            iadd(out, tuple(sorted(exps.items())), ca * cb)
+    return oc.TPoly(max(p.N, q.N), p.m, out)
+
+
+def tpoly_shifted(p, offset):
+    """Move every first index up by offset (a later block of levels)."""
+    out = {}
+    for key, c in p.terms.items():
+        out[tuple((((i + offset), j), e) for (i, j), e in key)] = c
+    return oc.TPoly(p.N + offset, p.m, out)
+
+
+def tpoly_total(p):
+    return sum(p.terms.values())

@@ -1,10 +1,16 @@
 """Characters on the poset and quasisymmetric Hopf algebras, their
 convolution group, and the morphisms they induce."""
 
+from fractions import Fraction
+
+import pytest
+
 from cqsym import characters as ch
 from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from cqsym import verify
+from psi_reference import reference_universal_morphism
 
 
 def _M(m, alpha):
@@ -330,6 +336,39 @@ def test_character_rejects_wrong_color_count():
     raise AssertionError("character accepted an element with the wrong m")
 
 
+def test_character_errors_are_value_errors():
+    # raised, not asserted, so they hold under python -O too
+    with pytest.raises(ValueError, match="same number of colors"):
+        ch.zeta_qsym_all(2)(_M(1, ((1, 0),)))
+    with pytest.raises(ValueError, match="same number of colors"):
+        ch.zeta_poset(2, 0)(ps.PElt.one(1))
+    with pytest.raises(ValueError):
+        ch.convolve(ch.zeta_qsym(2, 0), ch.zeta_poset(2, 0))
+    with pytest.raises(ValueError):
+        ch.convolve(ch.zeta_qsym(2, 0), ch.zeta_qsym(1, 0))
+    for factory in (ch.zeta_qsym, ch.zeta_poset):
+        with pytest.raises(ValueError):
+            factory(2, 2)
+        with pytest.raises(ValueError):
+            factory(2, -1)
+
+
+def test_one_color_families_keep_their_parts_names():
+    # at m=1 the family is its only part; naming it must not rename the
+    # cached part, whatever the call order
+    for family, single, name in ((ch.zeta_qsym_all, ch.zeta_qsym, "zetaQ"),
+                                 (ch.zeta_poset_all, ch.zeta_poset, "zetaP"),
+                                 (ch.nu_qsym_all, ch.nu_qsym, "nuQ"),
+                                 (ch.nu_poset_all, ch.nu_poset, "nuP")):
+        whole = family(1)
+        assert whole.name == name
+        assert single(1, 0).name == name + ":0"
+        assert whole is not single(1, 0)
+        for key in ([(), ((1, 0),), ((2, 0),)] if "Q" in name
+                    else list(_posets(1, 2))):
+            assert whole.of_key(key) == single(1, 0).of_key(key)
+
+
 # --- universal morphisms --------------------------------------------------
 
 def test_psi_with_zeta_family_is_the_identity():
@@ -386,3 +425,86 @@ def test_psi_on_points():
                 ps.antichain_poset(m, [(1, j)]))
             assert ch.universal_morphism(ps.PElt.basis(point), chars) == \
                 _M(m, ((1, j),))
+
+
+def _families(single_zeta, single_nu, m):
+    # zeta, nu, and a mix taking zeta on even colors and nu on odd ones
+    return [[single_zeta(m, j) for j in range(m)],
+            [single_nu(m, j) for j in range(m)],
+            [(single_zeta, single_nu)[j % 2](m, j) for j in range(m)]]
+
+
+def _assert_psi_matches_reference(e, chars):
+    got = ch.universal_morphism(e, chars)
+    want = reference_universal_morphism(e, chars)
+    assert got.basis == want.basis == "M"
+    assert got.terms == want.terms, (e, [phi.name for phi in chars])
+
+
+def test_psi_matches_the_k_fold_route_on_posets():
+    for m, max_n in ((1, 4), (2, 4), (3, 3)):
+        for chars in _families(ch.zeta_poset, ch.nu_poset, m):
+            for P in _posets(m, max_n):
+                _assert_psi_matches_reference(ps.PElt.basis(P), chars)
+
+
+def test_psi_matches_the_k_fold_route_on_compositions():
+    for m in (1, 2):
+        for chars in _families(ch.zeta_qsym, ch.nu_qsym, m):
+            for n in range(5):
+                for alpha in cb.enumerate_compositions(m, n):
+                    for basis in ("M", "F"):
+                        _assert_psi_matches_reference(
+                            qs.QElt.basis_elt(m, basis, alpha), chars)
+                for alpha in cb.peak_compositions(m, n):
+                    _assert_psi_matches_reference(_K(m, alpha), chars)
+
+
+def test_psi_matches_the_k_fold_route_on_sums():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    grid = list(_posets(2, 3))
+    e = ps.PElt(2, {grid[0]: half, grid[3]: third, grid[-1]: 5,
+                    grid[-2]: Fraction(7, 4)})
+    assert grid[0].n == 0
+    x = qs.QElt(2, "F", {(): third, ((2, 0), (1, 1)): half,
+                         ((1, 1), (1, 0), (1, 1)): -3})
+    y = qs.QElt(2, "K", {(): 4, ((1, 0), (2, 1)): half, ((3, 1),): third})
+    for chars in _families(ch.zeta_poset, ch.nu_poset, 2):
+        _assert_psi_matches_reference(e, chars)
+    for chars in _families(ch.zeta_qsym, ch.nu_qsym, 2):
+        _assert_psi_matches_reference(x, chars)
+        _assert_psi_matches_reference(y, chars)
+        _assert_psi_matches_reference(x + y, chars)
+
+
+def _character_caches():
+    return {name: info for name, info in verify.cache_stats().items()
+            if name.startswith("characters.")}
+
+
+def test_psi_keeps_no_memo_between_calls():
+    # the factories are warmed first; Psi itself must neither add to nor
+    # read from any characters cache
+    calls = [(ps.PElt.basis(P), chars)
+             for chars in _families(ch.zeta_poset, ch.nu_poset, 2)
+             for P in _posets(2, 3)]
+    calls += [(_M(2, alpha), chars)
+              for chars in _families(ch.zeta_qsym, ch.nu_qsym, 2)
+              for alpha in _comps(2, 3)]
+    before = _character_caches()
+    for e, chars in calls:
+        ch.universal_morphism(e, chars)
+    assert _character_caches() == before
+
+
+def test_psi_rejects_mismatched_arguments():
+    zq = [ch.zeta_qsym(2, j) for j in range(2)]
+    zp = [ch.zeta_poset(2, j) for j in range(2)]
+    with pytest.raises(ValueError):
+        ch.universal_morphism(_M(2, ((1, 0),)), zq[:1])
+    with pytest.raises(ValueError):
+        ch.universal_morphism(_M(2, ((1, 0),)), [zq[0], zp[1]])
+    with pytest.raises(ValueError, match="same number of colors"):
+        ch.universal_morphism(_M(1, ((1, 0),)), zq)
+    with pytest.raises(ValueError, match="same number of colors"):
+        ch.universal_morphism(ps.PElt.one(3), zp)

@@ -10,7 +10,8 @@ from cqsym import combinat as cb
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
-from oracle_reference import assert_kernels_match_reference
+from oracle_reference import (assert_kernels_match_reference, tpoly_add,
+                              tpoly_mul, tpoly_shifted, tpoly_total)
 
 
 def _chain(m, letters):
@@ -87,10 +88,10 @@ def test_no_levels_is_an_error():
 def test_tpoly_arithmetic():
     x = _mono(2, 1, (1, [(1, 0, 1)]))
     y = _mono(2, 1, (1, [(2, 0, 1)]))
-    assert x + y == _mono(2, 1, (1, [(1, 0, 1)]), (1, [(2, 0, 1)]))
-    assert x * x == _mono(2, 1, (1, [(1, 0, 2)]))
-    assert x * y == _mono(2, 1, (1, [(1, 0, 1), (2, 0, 1)]))
-    assert (x + y).total() == 2
+    assert tpoly_add(x, y) == _mono(2, 1, (1, [(1, 0, 1)]), (1, [(2, 0, 1)]))
+    assert tpoly_mul(x, x) == _mono(2, 1, (1, [(1, 0, 2)]))
+    assert tpoly_mul(x, y) == _mono(2, 1, (1, [(1, 0, 1), (2, 0, 1)]))
+    assert tpoly_total(tpoly_add(x, y)) == 2
 
 
 def test_tpoly_equality_ignores_truncation_level():
@@ -103,14 +104,14 @@ def test_tpoly_rejects_mixed_color_counts():
     x = _mono(2, 1, (1, [(1, 0, 1)]))
     y = _mono(2, 2, (1, [(1, 1, 1)]))
     with pytest.raises(ValueError):
-        x + y
+        tpoly_add(x, y)
     with pytest.raises(ValueError):
-        x * y
+        tpoly_mul(x, y)
 
 
 def test_tpoly_shift():
     p = _mono(2, 1, (1, [(1, 0, 1), (2, 0, 2)]))
-    assert p.shifted(3).terms == {(((4, 0), 1), ((5, 0), 2)): 1}
+    assert tpoly_shifted(p, 3).terms == {(((4, 0), 1), ((5, 0), 2)): 1}
 
 
 # --- ordinary colored partitions ------------------------------------------
@@ -195,7 +196,7 @@ def test_truncate_counts_embeddings():
         for alpha in cb.enumerate_compositions(1, n):
             e = qs.QElt.basis_elt(1, "M", alpha)
             for N in (1, 2, 3):
-                assert oc.truncate(e, N).total() == comb(N, len(alpha))
+                assert tpoly_total(oc.truncate(e, N)) == comb(N, len(alpha))
 
 
 def test_truncate_is_linear():
@@ -203,7 +204,7 @@ def test_truncate_is_linear():
     b = qs.QElt.basis_elt(2, "M", ((2, 1),))
     lhs = oc.truncate(a + b.scale(3), 2)
     tb = oc.truncate(b, 2)
-    rhs = oc.truncate(a, 2) + tb + tb + tb
+    rhs = tpoly_add(tpoly_add(tpoly_add(oc.truncate(a, 2), tb), tb), tb)
     assert lhs.terms == rhs.terms
 
 
@@ -211,7 +212,7 @@ def test_truncate_is_multiplicative():
     a = qs.QElt.basis_elt(2, "M", ((1, 0),))
     b = qs.QElt.basis_elt(2, "M", ((1, 1),))
     assert oc.truncate(qs.multiply(a, b), 3) == \
-        oc.truncate(a, 3) * oc.truncate(b, 3)
+        tpoly_mul(oc.truncate(a, 3), oc.truncate(b, 3))
 
 
 # --- the oracle equations -------------------------------------------------
@@ -234,10 +235,10 @@ def test_enumeration_respects_disjoint_union():
     grid = [P for P in _posets(2, 2)]
     for A, B in itertools.product(grid, repeat=2):
         C = ps.product_key(A, B)
-        assert oc.enumerate_ppartitions(C, 2) == \
-            oc.enumerate_ppartitions(A, 2) * oc.enumerate_ppartitions(B, 2)
-        assert oc.enumerate_enriched(C, 2) == \
-            oc.enumerate_enriched(A, 2) * oc.enumerate_enriched(B, 2)
+        assert oc.enumerate_ppartitions(C, 2) == tpoly_mul(
+            oc.enumerate_ppartitions(A, 2), oc.enumerate_ppartitions(B, 2))
+        assert oc.enumerate_enriched(C, 2) == tpoly_mul(
+            oc.enumerate_enriched(A, 2), oc.enumerate_enriched(B, 2))
 
 
 def test_split_alphabet_identity():
@@ -254,19 +255,20 @@ def _tpoly_split_alphabet(P, N):
     for mask in P.ideal_masks():
         lo = oc.enumerate_ppartitions(P.restrict(mask), N)
         hi = oc.enumerate_ppartitions(P.restrict(full & ~mask), N)
-        acc = acc + lo * hi.shifted(N)
+        acc = tpoly_add(acc, tpoly_mul(lo, tpoly_shifted(hi, N)))
     return acc == oc.enumerate_ppartitions(P, 2 * N)
 
 
 def _tpoly_product_law(A, B, C, N):
-    return oc.enumerate_ppartitions(C, N) == \
-        oc.enumerate_ppartitions(A, N) * oc.enumerate_ppartitions(B, N)
+    return oc.enumerate_ppartitions(C, N) == tpoly_mul(
+        oc.enumerate_ppartitions(A, N), oc.enumerate_ppartitions(B, N))
 
 
 def _tpoly_extension_partition(P, N):
     acc = oc.TPoly(N, P.m)
     for pi in P.linear_extensions():
-        acc = acc + oc.enumerate_ppartitions(ps.chain_poset(P.m, pi), N)
+        acc = tpoly_add(
+            acc, oc.enumerate_ppartitions(ps.chain_poset(P.m, pi), N))
     return acc == oc.enumerate_ppartitions(P, N)
 
 
