@@ -48,6 +48,7 @@ MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite; words of perm shuffle
                           # and chain pairs of qsym product
+MAX_DIMS_DIGITS = 1000    # digits of a dims entry; str() refuses past 4300
 
 
 def _at_most(size, limit, what):
@@ -547,14 +548,30 @@ def cmd_oracle(args):
 
 # --- verify and dims verbs -----------------------------------------------
 
+def _bound_verify_grid(suite, m, max_n, max_N):
+    """Refuse a verify grid past the bounds of what it enumerates:
+    compositions for dimension-counts, canonical posets for every other
+    suite, and the oracle's (2N)^n choices for oracle-equivalence."""
+    if suite == "dimension-counts":
+        _at_most(_level_size(m, min(max_n, 18)), MAX_ENUM_LEVEL,
+                 "compositions of weight --max-n")
+    else:
+        _at_most(max_n, MAX_COUNT_M_PLUS_N - m, "--max-n")
+    if suite == "oracle-equivalence" and max_N is not None:
+        _at_most((2 * max_N) ** max_n, MAX_ORACLE_CHOICES,
+                 "oracle choices (2N)^n")
+
+
 def cmd_verify(args):
-    from .verify import SUITES, cache_stats, run_checks
+    from .verify import DEFAULT_MAX_N, SUITES, cache_stats, run_checks
     name = args.suite
     _expect(name is not None, "--suite NAME is required; one of %s"
             % ", ".join(sorted(SUITES)))
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
     m = _positive_m(args.m if args.m is not None else 2)
+    _bound_verify_grid(name, m, args.max_n if args.max_n is not None
+                       else DEFAULT_MAX_N[name], args.max_N)
     checks, run = run_checks(SUITES[name](m, args.max_n, args.max_N,
                                           args.seed))
     if not args.stats:
@@ -568,9 +585,17 @@ def cmd_verify(args):
     return report, (0 if ok else 1)
 
 
+def _dims_max_n(m):
+    """The largest n with m(m+1)^(n-1) <= 10^MAX_DIMS_DIGITS; the peak
+    count f_{m,n} is smaller."""
+    return math.floor((MAX_DIMS_DIGITS - math.log10(m))
+                      / math.log10(m + 1)) + 1
+
+
 def cmd_dims(args):
     m = _require_m(args)
     maxn = args.max_n if args.max_n is not None else 5
+    _at_most(maxn, _dims_max_n(m), "--max-n")
     rows = []
     for n in range(1, maxn + 1):
         rows.append({"n": n,

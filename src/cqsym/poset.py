@@ -21,8 +21,9 @@ values 1..n once per size), the ideal masks, the plan that cuts a
 poset along each ideal, and the table of linear extensions (each as an
 index order and its ascent mask), which persists for the process: n!
 entries on an n-element antichain.  The canonical ideal splits are
-memoized on the instance, each distinct (ideal, rest) pair held once,
-and products and antipodes in process-wide functools caches.
+memoized on the instance as one flat tuple (I0, R0, I1, R1, ...) of
+interned posets, with no pair objects: splits() pairs them up as it
+iterates.  Products and antipodes live in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -53,10 +54,21 @@ def _bits(mask):
 
 def _sub_above(above, mask):
     """Element indices of mask and the closure masks of the induced order."""
-    idxs = list(_bits(mask))
-    pos = {i: p for p, i in enumerate(idxs)}
-    return idxs, tuple(sum(1 << pos[j] for j in _bits(above[i] & mask))
-                       for i in idxs)
+    idxs, sub = [], []
+    rest = mask
+    while rest:
+        b = rest & -rest
+        idxs.append(b.bit_length() - 1)
+        rest ^= b
+    for i in idxs:
+        # j in mask sits at position popcount(mask below j) of the order
+        a, s = above[i] & mask, 0
+        while a:
+            b = a & -a
+            s |= 1 << (mask & (b - 1)).bit_count()
+            a ^= b
+        sub.append(s)
+    return idxs, tuple(sub)
 
 
 def _cover_pairs(values, above, below):
@@ -204,15 +216,18 @@ class Poset:
         return [self.restrict(mask) for mask in self.ideal_masks()]
 
     def splits(self):
-        """Canonical (ideal, complement) pairs, one per order ideal."""
+        """An iterator over the canonical (ideal, complement) pairs, one
+        per order ideal, in ideal_masks order.  Call again to iterate
+        again."""
         if self._splits is None:
             m, colors = self.m, self.colors
-            self._splits = tuple(
-                _split_pair(_canonical_from(m, pick_i(colors), above_i),
-                            _canonical_from(m, pick_r(colors), above_r))
-                for pick_i, above_i, pick_r, above_r
-                in _split_plan(self.above)[1])
-        return self._splits
+            flat = []
+            for pick_i, above_i, pick_r, above_r in _split_plan(self.above)[1]:
+                flat.append(_canonical_from(m, pick_i(colors), above_i))
+                flat.append(_canonical_from(m, pick_r(colors), above_r))
+            self._splits = tuple(flat)
+        it = iter(self._splits)
+        return zip(it, it)
 
     def linear_extensions(self):
         """All linear extensions, as colored permutations in P's letters."""
@@ -379,12 +394,6 @@ def _shape(above):
     1..n, closure masks, below masks and cover pairs."""
     values, below = _values(len(above)), _invert(above)
     return values, above, below, _cover_pairs(values, above, below)
-
-
-@cache
-def _split_pair(I, R):
-    """One (ideal, rest) tuple per distinct pair, shared by every split."""
-    return I, R
 
 
 class _Canonical(Poset):
@@ -673,13 +682,13 @@ def antipode_chains_key(P):
         return {P: 1}
     full = (1 << P.n) - 1
     ideals = P.ideal_masks()
+    # per ideal, its strict supersets J and the slice J minus it
+    steps = {cur: [(J, _sub_canonical(P, J & ~cur)) for J in ideals
+                   if J != cur and J & cur == cur] for cur in ideals}
     acc = {}
 
     def rec(cur, prod, k):
-        for J in ideals:
-            if J == cur or (J & cur) != cur:
-                continue
-            piece = _sub_canonical(P, J & ~cur)
+        for J, piece in steps[cur]:
             newprod = piece if prod is None else product_key(prod, piece)
             if J == full:
                 iadd(acc, newprod, -1 if (k + 1) % 2 else 1)

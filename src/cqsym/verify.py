@@ -11,7 +11,7 @@ seconds.  A check that covered no cases does not pass.
 Cases are independent, so once a suite has SHARD_FLOOR cases run_checks
 splits each check's items into k shards, one per available CPU up to
 MAX_PROCESSES.  Item i goes to shard i mod k, or, when a spec carries a
-fifth element owner(item), to shard owner(item) mod k.  The calling
+fifth element owner(index), to shard owner(i) mod k.  The calling
 process runs shard 0 and forked children run the others, on a
 copy-on-write copy of the grids and memos.  Every shard stops a check at
 its first failure, and the earliest one over all shards decides the
@@ -56,11 +56,11 @@ def _processes(cases):
 
 def _shard(spec, shard, k):
     """Indices, in increasing order, of the spec's items in shard."""
-    items = spec[1]
+    n = len(spec[1])
     if len(spec) == 4 or k == 1:
-        return range(shard, len(items), k)
+        return range(shard, n, k)
     owner = spec[4]
-    return [i for i, it in enumerate(items) if owner(it) % k == shard]
+    return (i for i in range(n) if owner(i) % k == shard)
 
 
 def _run_shard(specs, shard, k):
@@ -191,6 +191,20 @@ def cache_stats(growth=None):
     return out
 
 
+# The max_n a suite runs at when given None.  Only oracle-equivalence
+# reads max_N; it defaults to 2.
+DEFAULT_MAX_N = {
+    "hopf-axioms": 5, "gamma-morphism": 5, "lambda-morphism": 5,
+    "theta-morphism": 5, "antipode-consistency": 4,
+    "oracle-equivalence": 4, "character-group": 4, "nu-counting": 4,
+    "dimension-counts": 5,
+}
+
+
+def _max_n(suite, max_n):
+    return DEFAULT_MAX_N[suite] if max_n is None else max_n
+
+
 def _poset_grid(m, max_n):
     return [P for n in range(max_n + 1) for P in ps.canonical_posets(m, n)]
 
@@ -211,26 +225,55 @@ def _weight_pairs(comps, max_total):
             for b in comps[:bisect_right(weights, max_total - w)]]
 
 
-def _size_pairs(grid, max_total):
-    bysize = {}
-    for P in grid:
-        bysize.setdefault(P.n, []).append(P)
-    out = []
-    for i, firsts in sorted(bysize.items()):
-        for j, seconds in sorted(bysize.items()):
-            if i + j <= max_total:
-                out.extend((A, B) for A in firsts for B in seconds)
-    return out
+class _SizePairs:
+    """The pairs (A, B) of a size-sorted poset grid with |A| + |B| <=
+    max_total, in nested-loop order: by the size of A, then the size of
+    B, then A's and B's grid positions.  Pair k is found by arithmetic
+    over the blocks of equal (|A|, |B|), so no pair list is held."""
 
+    __slots__ = ("grid", "_starts", "_blocks", "_len")
 
-def _by_larger_factor(grid):
-    """Shard owner of a pair of grid posets: the later one's position.
+    def __init__(self, grid, max_total):
+        runs = []   # per size: [size, first grid position, count]
+        for pos, P in enumerate(grid):
+            if runs and runs[-1][0] == P.n:
+                runs[-1][2] += 1
+            else:
+                runs.append([P.n, pos, 1])
+        self.grid, self._starts, self._blocks = grid, [], []
+        total = 0
+        for i, a0, na in runs:
+            for j, b0, nb in runs:
+                if i + j <= max_total:
+                    self._starts.append(total)
+                    self._blocks.append((a0, b0, nb))
+                    total += na * nb
+        self._len = total
 
-    A pair and its reverse, and all pairs with the same larger factor,
-    then share a shard and the memos filled for them there.
-    """
-    pos = {P: i for i, P in enumerate(grid)}
-    return lambda pr: max(pos[pr[0]], pos[pr[1]])
+    def __len__(self):
+        return self._len
+
+    def positions(self, k):
+        """Grid positions of the two factors of pair k, 0 <= k < len."""
+        b = bisect_right(self._starts, k) - 1
+        a0, b0, nb = self._blocks[b]
+        q, r = divmod(k - self._starts[b], nb)
+        return a0 + q, b0 + r
+
+    def __getitem__(self, k):
+        if not 0 <= k < self._len:
+            raise IndexError("pair index out of range")
+        a, b = self.positions(k)
+        return self.grid[a], self.grid[b]
+
+    def owner(self, k):
+        """Shard owner of pair k: its larger factor's grid position.
+
+        A pair and its reverse, and all pairs with the same larger
+        factor, then share a shard and the memos filled for them there.
+        """
+        a, b = self.positions(k)
+        return a if a > b else b
 
 
 def _poset_pair_json(pr):
@@ -269,7 +312,7 @@ def _poset_bialgebra_ok(pair):
         lhs[s] = lget(s, 0) + 1
     rhs = {}
     rget = rhs.get
-    bsplits = B.splits()
+    bsplits = tuple(B.splits())
     for I1, R1 in A.splits():
         for I2, R2 in bsplits:
             k = (pk(I1, I2), pk(R1, R2))
@@ -376,9 +419,9 @@ def _coalgebra_ok(gf, P):
 
 
 def _suite_hopf_axioms(m, max_n, max_N, seed):
-    max_n = 5 if max_n is None else max_n
+    max_n = _max_n("hopf-axioms", max_n)
     grid = _poset_grid(m, max_n)
-    pairs = _size_pairs(grid, max_n)
+    pairs = _SizePairs(grid, max_n)
     qn = min(max_n, 4)
     comps = _comp_grid(m, qn)
     keys = [(m, a) for a in comps]
@@ -389,7 +432,7 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
         ("poset-counit", grid, _poset_counit_ok, poset_json),
         ("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
         ("poset-bialgebra", pairs, _poset_bialgebra_ok, _poset_pair_json,
-         _by_larger_factor(grid)),
+         pairs.owner),
         ("poset-antipode", grid, _poset_antipode_ok, poset_json),
         ("qsym-counit", keys, _qsym_counit_ok, kj),
         ("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
@@ -401,9 +444,9 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
 def _morphism_suite(prefix, gf):
     """Suite checking that gf is an algebra and a coalgebra morphism."""
     def suite(m, max_n, max_N, seed):
-        max_n = 5 if max_n is None else max_n
+        max_n = _max_n(prefix + "-morphism", max_n)
         grid = _poset_grid(m, max_n)
-        pairs = _size_pairs(grid, max_n)
+        pairs = _SizePairs(grid, max_n)
         return [
             (prefix + "-algebra", pairs,
              lambda pr: qs.multiply(gf(pr[0]), gf(pr[1]))
@@ -416,7 +459,7 @@ def _morphism_suite(prefix, gf):
 
 
 def _suite_theta_morphism(m, max_n, max_N, seed):
-    max_n = 5 if max_n is None else max_n
+    max_n = _max_n("theta-morphism", max_n)
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
     cpairs = _weight_pairs(comps, max_n)
@@ -440,7 +483,7 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
 
 
 def _suite_antipode_consistency(m, max_n, max_N, seed):
-    max_n = 4 if max_n is None else max_n
+    max_n = _max_n("antipode-consistency", max_n)
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
     peaks = [a for n in range(max_n + 1) for a in cb.peak_compositions(m, n)]
@@ -467,11 +510,11 @@ def _suite_antipode_consistency(m, max_n, max_N, seed):
 
 
 def _suite_oracle_equivalence(m, max_n, max_N, seed):
-    max_n = 4 if max_n is None else max_n
+    max_n = _max_n("oracle-equivalence", max_n)
     max_N = 2 if max_N is None else max_N
     grid = _poset_grid(m, max_n)
     cases = [(P, N) for P in grid for N in range(1, max_N + 1)]
-    pairs = _size_pairs(grid, max_n)
+    pairs = _SizePairs(grid, max_n)
     cj = lambda case: {"poset": poset_json(case[0]), "N": case[1]}
     return [
         ("ppartitions-vs-gamma", cases,
@@ -496,7 +539,7 @@ def _suite_oracle_equivalence(m, max_n, max_N, seed):
 
 
 def _suite_character_group(m, max_n, max_N, seed):
-    max_n = 4 if max_n is None else max_n
+    max_n = _max_n("character-group", max_n)
     keys = _comp_grid(m, max_n)
     grid = _poset_grid(m, max_n)
     gens = []
@@ -538,7 +581,7 @@ def _suite_character_group(m, max_n, max_N, seed):
 
 
 def _suite_nu_counting(m, max_n, max_N, seed):
-    max_n = 4 if max_n is None else max_n
+    max_n = _max_n("nu-counting", max_n)
     grid = _poset_grid(m, max_n)
 
     def single_ok(arg):
@@ -582,7 +625,7 @@ def _suite_nu_counting(m, max_n, max_N, seed):
 
 
 def _suite_dimension_counts(m, max_n, max_N, seed):
-    max_n = 5 if max_n is None else max_n
+    max_n = _max_n("dimension-counts", max_n)
     levels = list(range(1, max_n + 1))
 
     def qsym_ok(n):

@@ -5,7 +5,9 @@ the recursion S(P) = -P - sum over proper splits of S(I)·R, from the
 memoized S of the pieces, then tests both convolutions against the
 counit.  The library's checks accumulate inline and compare the two
 proper-split sums in one pass; they must give the same verdict on every
-case.
+case.  The pair grid and its shard owners are kept as first written too,
+as a list of pairs and a position dict; the library finds each pair and
+owner by index.
 """
 
 from cqsym import poset as ps
@@ -56,3 +58,21 @@ def reference_antipode_ok(P):
             iadd(right, ps.product_key(I, Q), c)
     want = {P: 1} if P.n == 0 else {}
     return left == want and right == want
+
+
+def reference_size_pairs(grid, max_total):
+    bysize = {}
+    for P in grid:
+        bysize.setdefault(P.n, []).append(P)
+    out = []
+    for i, firsts in sorted(bysize.items()):
+        for j, seconds in sorted(bysize.items()):
+            if i + j <= max_total:
+                out.extend((A, B) for A in firsts for B in seconds)
+    return out
+
+
+def reference_by_larger_factor(grid):
+    """Shard owner of a pair of grid posets: the later one's position."""
+    pos = {P: i for i, P in enumerate(grid)}
+    return lambda pr: max(pos[pr[0]], pos[pr[1]])

@@ -494,12 +494,23 @@ def _shuffle_pair(a, b):
     (("qsym", "product", "--in",
       _payload({"first": _one_part("F", 10), "second": _one_part("M", 10)})),
      "chain-pair shuffles must be <= 65536"),
+    (("dims", "--m", "3", "--max-n", "8000"), "--max-n must be <= 1661"),
+    (("verify", "--suite", "dimension-counts", "--m", "3", "--max-n", "40"),
+     "compositions of weight --max-n must be <= 65536"),
+    (("verify", "--suite", "hopf-axioms", "--m", "1", "--max-n", "8"),
+     "--max-n must be <= 6"),
+    (("verify", "--suite", "gamma-morphism", "--m", "3"),
+     "--max-n must be <= 4"),
+    (("verify", "--suite", "oracle-equivalence", "--m", "1", "--max-n", "4",
+      "--max-N", "20"), "oracle choices (2N)^n must be <= 1048576"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
         "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
         "qsym-theta", "qsym-antipode-inductive",
         "qsym-antipode-inductive-work", "oracle-truncate-expansion",
-        "perm-shuffle", "qsym-product-shuffles"])
+        "perm-shuffle", "qsym-product-shuffles", "dims-digits",
+        "verify-compositions", "verify-posets", "verify-default-max-n",
+        "verify-oracle-choices"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -545,6 +556,35 @@ def test_bounds_admit_their_limits():
     # C(18, 9) = 48,620 shuffles of 9 + 9 letters
     code, out = _run("perm", "shuffle", "--in", _payload(_shuffle_pair(9, 9)))
     assert code == 0 and len(out["perms"]) == 48620
+
+
+def test_unbounded_grids_are_refused_at_once():
+    for argv in (("dims", "--m", "3", "--max-n", "8000"),
+                 ("verify", "--suite", "dimension-counts", "--m", "3",
+                  "--max-n", "40"),
+                 ("verify", "--suite", "hopf-axioms", "--m", "1",
+                  "--max-n", "8")):
+        start = time.perf_counter()
+        code, out = _run(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3 and out["error"]["type"] == "domain", argv
+
+
+def test_grid_bounds_admit_their_limits():
+    # 10^1000 >= 3 * 4^1660, the last dims row, which prints in full
+    code, out = _run("dims", "--m", "3", "--max-n", "1661")
+    assert code == 0 and out["rows"][-1]["qsym"] == 3 * 4 ** 1660
+    # 3 * 4^7 = 49,152 compositions of weight 8
+    code, out = _run("verify", "--suite", "dimension-counts", "--m", "3",
+                     "--max-n", "8")
+    assert code == 0 and out["ok"] is True
+    code, out = _run("verify", "--suite", "hopf-axioms", "--m", "5",
+                     "--max-n", "2")
+    assert code == 0 and out["ok"] is True
+    # (2 * 8)^4 = 2^16 oracle choices
+    code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
+                     "--max-n", "4", "--max-N", "8")
+    assert code == 0 and out["ok"] is True
 
 
 def test_oracle_admits_every_level_count_its_bound_allows(capsys):

@@ -180,7 +180,7 @@ def _splits_by_restriction(P):
 def test_splits_match_restricted_ideals_in_order():
     for m in (1, 2):
         for P in _grid(m, 4):
-            got, want = P.splits(), _splits_by_restriction(P)
+            got, want = tuple(P.splits()), _splits_by_restriction(P)
             assert len(got) == len(want)
             assert all(a is c and b is d
                        for (a, b), (c, d) in zip(got, want)), P
@@ -188,20 +188,22 @@ def test_splits_match_restricted_ideals_in_order():
 
 def test_splits_cover_every_ideal_once():
     for P in _grid(2, 3):
-        pairs = P.splits()
+        pairs = tuple(P.splits())
         assert len(pairs) == len(P.ideal_masks())
         for I, R in pairs:
             assert I.n + R.n == P.n
             assert I.is_canonical and R.is_canonical
 
 
-def test_equal_split_pairs_of_different_posets_are_one_object():
-    first, occurrences = {}, 0
+def test_stored_splits_are_flat_interned_posets():
     for P in _grid(2, 4):
-        for pair in P.splits():
-            assert first.setdefault(pair, pair) is pair, (P, pair)
-            occurrences += 1
-    assert occurrences > 2 * len(first)
+        assert tuple(P.splits()) == tuple(P.splits())
+        flat = P._splits
+        assert type(flat) is tuple
+        assert len(flat) == 2 * len(P.ideal_masks()), P
+        for X in flat:
+            assert type(X) is ps._Canonical, (P, X)
+            assert X is ps._intern_canonical(X.m, X.colors, X.above)
 
 
 # --- per-structure sharing ------------------------------------------------

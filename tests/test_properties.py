@@ -50,7 +50,7 @@ def _splits_by_restriction(P):
 @given(labeled_posets())
 def test_splits_match_restricted_ideals(P):
     for Q in (P, P.canonical):
-        got, want = Q.splits(), _splits_by_restriction(Q)
+        got, want = tuple(Q.splits()), _splits_by_restriction(Q)
         assert len(got) == len(want)
         assert all(a is c and b is d for (a, b), (c, d) in zip(got, want))
 

@@ -19,7 +19,8 @@ from cqsym import poset as ps
 from cqsym import qsym as qs
 from cqsym import verify
 from hopf_reference import (reference_antipode_ok, reference_bialgebra_ok,
-                            reference_coassoc_ok)
+                            reference_by_larger_factor, reference_coassoc_ok,
+                            reference_size_pairs)
 
 
 def _strip_seconds(reports):
@@ -55,12 +56,30 @@ def test_the_earliest_failure_over_all_shards_decides():
 
 
 def test_owner_keys_keep_the_serial_report():
-    # item i runs in shard (i // 4) % k; the only failure is in shard 1
-    spec = _spec(lambda i: i != 5) + (lambda i: i // 4,)
+    # the owner takes the case index, not the item: item i runs in shard
+    # (i // 4) % k; the only failure is in shard 1
+    spec = ("injected", ["case %d" % i for i in range(20)],
+            lambda it: it != "case 5", lambda it: {"item": it},
+            lambda i: i // 4)
     assert list(verify._shard(spec, 1, 2)) == [4, 5, 6, 7, 12, 13, 14, 15]
     assert _run([spec], 2) == _run([spec], 1) == [
         {"name": "injected", "ok": False, "checked": 6,
-         "counterexample": {"item": 5}}]
+         "counterexample": {"item": "case 5"}}]
+
+
+@pytest.mark.parametrize("m, max_n", [(1, 5), (2, 5), (3, 4)])
+def test_pair_grids_match_the_listed_reference(m, max_n):
+    grid = verify._poset_grid(m, max_n)
+    owner = reference_by_larger_factor(grid)
+    for max_total in range(max_n + 1):
+        want = reference_size_pairs(grid, max_total)
+        pairs = verify._SizePairs(grid, max_total)
+        assert len(pairs) == len(want)
+        assert list(pairs) == want
+        assert [pairs.owner(k) for k in range(len(pairs))] == [
+            owner(pr) for pr in want]
+    with pytest.raises(IndexError):
+        pairs[len(want)]
 
 
 def _raise_at(bad):
@@ -240,7 +259,7 @@ def test_the_poset_checks_agree_with_the_reference():
         for P in grid:
             assert verify._poset_coassoc_ok(P) == reference_coassoc_ok(P), P
             assert verify._poset_antipode_ok(P) == reference_antipode_ok(P), P
-        for pr in verify._size_pairs(grid, 4):
+        for pr in verify._SizePairs(grid, 4):
             assert (verify._poset_bialgebra_ok(pr)
                     == reference_bialgebra_ok(pr)), pr
 
@@ -260,11 +279,13 @@ def test_the_antipode_check_agrees_with_the_reference_on_a_wrong_antipode(
 
 
 def _with_wrong_splits(Q, check, case):
-    """check(case) with the first of Q's memoized splits replaced by its
-    last, the memo restored after."""
-    good = Q.splits()
+    """check(case) with the first pair of Q's memoized flat splits
+    replaced by its last, the memo restored after."""
+    for _ in Q.splits():
+        pass
+    good = Q._splits
     try:
-        Q._splits = (good[-1],) + good[1:]
+        Q._splits = good[-2:] + good[2:]
         return check(case)
     finally:
         Q._splits = good
