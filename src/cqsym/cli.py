@@ -6,9 +6,11 @@ enumeration oracles, batch verification suites, and dimension tables.
 Payloads come from --in as inline JSON, a file path, or - for stdin.
 Each verb takes only the options it reads.  Parse failures, among them
 an unknown option or one the verb does not read, exit 2 and domain
-violations exit 3, each with a JSON error object naming the problem;
+violations exit 3, each with a JSON error object naming the problem
+(among them a result holding an integer too long to print);
 failed verifications exit 1, and an unexpected internal error exits 4
-with a JSON error of type "internal".
+with a JSON error of type "internal".  argparse refuses an unknown op,
+so each handler answers its last op without testing for it.
 """
 
 import argparse
@@ -46,14 +48,42 @@ MAX_COUNT_M_PLUS_N = 7    # poset count colors every labeled order m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
-MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite; words of perm shuffle
-                          # and chain pairs of qsym product
+MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
+                          # chain pairs of qsym product, M antipode
+                          # coarsenings and representative chain letters
 MAX_DIMS_DIGITS = 1000    # digits of a dims entry; str() refuses past 4300
 
 
 def _at_most(size, limit, what):
     if size > limit:
         raise ValueError("%s must be <= %d" % (what, limit))
+
+
+def _pow2(k):
+    # 2^k, capped just past MAX_EXPANSION so that a huge k costs nothing
+    return 1 << min(k, MAX_EXPANSION.bit_length())
+
+
+def _nonnegative_max_n(max_n):
+    if max_n < 0:
+        raise ValueError("--max-n must be >= 0")
+
+
+def _bound_levels(m, max_n):
+    # level 18 is over the bound for every m; the clamp keeps a huge
+    # --max-n from building a huge integer
+    _nonnegative_max_n(max_n)
+    _at_most(_level_size(m, min(max_n, 18)), MAX_ENUM_LEVEL,
+             "compositions of weight --max-n")
+
+
+def _bound_poset_grid(m, max_n):
+    _nonnegative_max_n(max_n)
+    _at_most(max_n, MAX_COUNT_M_PLUS_N - m, "--max-n")
+
+
+def _bound_oracle_choices(N, n):
+    _at_most((2 * N) ** n, MAX_ORACLE_CHOICES, "oracle choices (2N)^n")
 
 
 def _bound_rewrite(e, target):
@@ -69,12 +99,27 @@ def _bound_rewrite(e, target):
         w = cb.weight(alpha)
         if e.basis == "K":
             steps = w - len(cb.rainbow_decompose(alpha))
-            size += 1 << (2 * steps if target == "F" else steps)
+            size += _pow2(2 * steps if target == "F" else steps)
         elif e.basis != target:
-            size += 1 << (w - len(alpha))
+            size += _pow2(w - len(alpha))
         else:
             size += 1
     _at_most(size, MAX_EXPANSION, "terms in the %s expansion" % target)
+
+
+def _bound_coarsenings(e):
+    """Refuse the M element e if its closed antipode, or a nu character,
+    lists too many coarsenings: 2^(l-b) per key of l parts, b blocks."""
+    size = sum(_pow2(len(alpha) - len(cb.rainbow_decompose(alpha)))
+               for alpha in e.terms)
+    _at_most(size, MAX_EXPANSION, "coarsenings of the M keys")
+
+
+def _bound_chains(keys, cuts=False):
+    """Refuse reading too many letters of representative chains: w for a
+    key of weight w, or w(w+1) over the w+1 cuts of its coproduct."""
+    size = sum(w * (w + 1) if cuts else w for w in map(cb.weight, keys))
+    _at_most(size, MAX_EXPANSION, "representative chain letters")
 
 
 def _shuffle_count(u, v):
@@ -181,20 +226,16 @@ def _pairs(obj, what):
     return tuple(out)
 
 
-def parse_comp(payload, args, key="comp"):
+def parse_comp(payload, args, key="comp", check=cb.check_comp):
     m = _payload_m(payload, args)
     _expect(key in payload, "payload needs a %r field" % key)
-    alpha = _pairs(payload[key], key)
-    cb.check_comp(alpha, m)
-    return m, alpha
+    word = _pairs(payload[key], key)
+    check(word, m)
+    return m, word
 
 
 def parse_perm(payload, args, key="perm"):
-    m = _payload_m(payload, args)
-    _expect(key in payload, "payload needs a %r field" % key)
-    pi = _pairs(payload[key], key)
-    cb.check_perm(pi, m)
-    return m, pi
+    return parse_comp(payload, args, key, cb.check_perm)
 
 
 def parse_poset(payload, args):
@@ -302,16 +343,12 @@ def cmd_comp(args):
     op = args.op
     if op in ("enumerate", "enumerate-peak"):
         m = _require_m(args)
-        maxn = args.max_n if args.max_n is not None else 4
-        # level 18 is over the bound for every m; the clamp keeps a huge
-        # --max-n from building a huge integer
-        _at_most(_level_size(m, min(maxn, 18)), MAX_ENUM_LEVEL,
-                 "compositions of weight --max-n")
+        _bound_levels(m, args.max_n)
         comps = (cb.enumerate_compositions if op == "enumerate"
                  else cb.peak_compositions)
         return {"m": m,
                 "rows": [{"n": n, "comps": [comp_json(a) for a in comps(m, n)]}
-                         for n in range(maxn + 1)]}
+                         for n in range(args.max_n + 1)]}
     m, alpha = parse_comp(_load(args), args)
     if op == "check":
         return {"m": m, "weight": cb.weight(alpha), "length": len(alpha),
@@ -321,6 +358,7 @@ def cmd_comp(args):
     if op == "hat":
         return {"m": m, "comp": comp_json(cb.hat(alpha))}
     if op == "conjugate":
+        _bound_chains([alpha])
         return {"m": m, "comp": comp_json(cb.conjugate(alpha))}
     if op == "reverse":
         return {"m": m, "comp": comp_json(cb.reverse(alpha))}
@@ -332,9 +370,8 @@ def cmd_comp(args):
         _at_most(cb.weight(alpha), MAX_REFINE_WEIGHT, "composition weight")
         fn = cb.refinements if op == "refinements" else cb.coarsenings
         return {"m": m, "comps": [comp_json(b) for b in sorted(fn(alpha))]}
-    if op == "rep-chain":
-        return {"m": m, "perm": perm_json(cb.rep_chain(alpha))}
-    raise ParseFailure("unknown comp operation %r" % op)
+    _bound_chains([alpha])
+    return {"m": m, "perm": perm_json(cb.rep_chain(alpha))}
 
 
 def cmd_perm(args):
@@ -357,9 +394,7 @@ def cmd_perm(args):
         return {"m": m, "comp": comp_json(cb.peak_composition(pi))}
     if op == "peak-set":
         return {"m": m, "peaks": list(cb.peak_set(pi))}
-    if op == "standardize":
-        return {"m": m, "perm": perm_json(cb.standardize(pi))}
-    raise ParseFailure("unknown perm operation %r" % op)
+    return {"m": m, "perm": perm_json(cb.standardize(pi))}
 
 
 # --- poset verb -----------------------------------------------------------
@@ -368,11 +403,10 @@ def cmd_poset(args):
     op = args.op
     if op == "count":
         m = _require_m(args)
-        maxn = args.max_n if args.max_n is not None else 4
-        _at_most(maxn, MAX_COUNT_M_PLUS_N - m, "--max-n")
+        _bound_poset_grid(m, args.max_n)
         return {"m": m,
                 "rows": [{"n": n, "classes": len(ps.canonical_posets(m, n))}
-                         for n in range(maxn + 1)]}
+                         for n in range(args.max_n + 1)]}
     payload = _load(args)
     if op == "equivalent":
         first = parse_poset(_sub_payload(payload, "first"), args)
@@ -402,10 +436,8 @@ def cmd_poset(args):
     if op == "coproduct":
         pairs = ps.coproduct(ps.PElt.basis(P.canonical))
         return poset_tensor_json(P.m, pairs)
-    if op == "antipode":
-        e = ps.antipode(ps.PElt.basis(P.canonical), route=args.route)
-        return pelt_json(e)
-    raise ParseFailure("unknown poset operation %r" % op)
+    e = ps.antipode(ps.PElt.basis(P.canonical), route=args.route)
+    return pelt_json(e)
 
 
 # --- qsym verb ------------------------------------------------------------
@@ -441,6 +473,8 @@ def cmd_qsym(args):
         raise ValueError("no conversion into the K basis; K spans only the "
                          "peak subalgebra")
     if op == "coproduct":
+        if e.basis != "M":
+            _bound_chains(e.terms, cuts=True)
         return qsym_tensor_json(e.m, e.basis, qs.coproduct(e))
     if op == "antipode":
         if args.route == "inductive":
@@ -448,13 +482,15 @@ def cmd_qsym(args):
             e = qs.to_monomial(e)
             _bound_inductive_antipode(e)
             return qsym_json(qs.antipode_inductive(e))
+        if e.basis == "M":
+            _bound_coarsenings(e)
+        else:
+            _bound_chains(e.terms)
         return qsym_json(qs.antipode(e))
     if op == "counit":
         return {"m": e.m, "value": coeff_to_json(qs.counit(e))}
-    if op == "theta":
-        _bound_rewrite(e, "F")
-        return qsym_json(qs.peak_projection(qs.to_fundamental(e)))
-    raise ParseFailure("unknown qsym operation %r" % op)
+    _bound_rewrite(e, "F")
+    return qsym_json(qs.peak_projection(qs.to_fundamental(e)))
 
 
 # --- char verb ------------------------------------------------------------
@@ -486,12 +522,18 @@ def _resolve_character(name, m):
     return kind, single(m, j)
 
 
-def _char_argument(payload, args, kind):
-    """Build the Hopf element a character consumes, sniffing the payload."""
+def _char_argument(payload, args, kind, family):
+    """Build the Hopf element a character consumes, sniffing the payload.
+    A qsym payload is bounded as the character reads it: in M, and for
+    nuQ through the coarsenings of its M keys."""
     if kind == "either":
         kind = "qsym" if "basis" in payload else "poset"
     if kind == "qsym":
-        return kind, parse_qsym(payload, args)
+        e = parse_qsym(payload, args)
+        _bound_rewrite(e, "M")
+        if family == "nuQ":
+            _bound_coarsenings(qs.to_monomial(e))
+        return kind, e
     return kind, ps.PElt.basis(parse_poset(payload, args).canonical)
 
 
@@ -500,28 +542,27 @@ def cmd_char(args):
     m = _payload_m(payload, args)
     if args.op == "eval":
         kind, phi = _resolve_character(args.name, m)
-        kind, elt = _char_argument(payload, args, kind)
+        kind, elt = _char_argument(payload, args, kind,
+                                   args.name.partition(":")[0])
         if phi is None:
             dom = ch.qsym_domain(m) if kind == "qsym" else ch.poset_domain(m)
             phi = ch.counit_character(dom)
         if phi.domain.m != m:
             raise ValueError("operands must share the same number of colors")
         return {"name": phi.name, "m": m, "value": coeff_to_json(phi(elt))}
-    if args.op == "psi":
-        base = args.name
-        if base not in _CHAR_FAMILIES:
-            raise ParseFailure("unknown character family %r" % base)
-        kind, single, _ = _CHAR_FAMILIES[base]
-        kind, elt = _char_argument(payload, args, kind)
-        chars = [single(m, j) for j in range(m)]
-        return qsym_json(ch.universal_morphism(elt, chars))
-    raise ParseFailure("unknown char operation %r" % args.op)
+    base = args.name
+    if base not in _CHAR_FAMILIES:
+        raise ParseFailure("unknown character family %r" % base)
+    kind, single, _ = _CHAR_FAMILIES[base]
+    kind, elt = _char_argument(payload, args, kind, base)
+    chars = [single(m, j) for j in range(m)]
+    return qsym_json(ch.universal_morphism(elt, chars))
 
 
 # --- oracle verb ----------------------------------------------------------
 
 def cmd_oracle(args):
-    N = args.max_N if args.max_N is not None else 2
+    N = args.max_N
     if N < 1:
         raise ValueError("truncation level must be >= 1")
     payload = _load(args)
@@ -533,17 +574,15 @@ def cmd_oracle(args):
     else:
         P = parse_poset(payload, args)
         size = P.n
-    _at_most((2 * N) ** size, MAX_ORACLE_CHOICES, "oracle choices (2N)^n")
+    _bound_oracle_choices(N, size)
     if args.op == "truncate":
         return tpoly_json(oc.truncate(e, N))
     if args.op == "ppartitions":
         return tpoly_json(oc.enumerate_ppartitions(P, N))
     if args.op == "enriched":
         return tpoly_json(oc.enumerate_enriched(P, N))
-    if args.op == "split-check":
-        ok = oc.split_alphabet_check(P, N)
-        return {"N": N, "ok": ok}, (0 if ok else 1)
-    raise ParseFailure("unknown oracle operation %r" % args.op)
+    ok = oc.split_alphabet_check(P, N)
+    return {"N": N, "ok": ok}, (0 if ok else 1)
 
 
 # --- verify and dims verbs -----------------------------------------------
@@ -553,13 +592,11 @@ def _bound_verify_grid(suite, m, max_n, max_N):
     compositions for dimension-counts, canonical posets for every other
     suite, and the oracle's (2N)^n choices for oracle-equivalence."""
     if suite == "dimension-counts":
-        _at_most(_level_size(m, min(max_n, 18)), MAX_ENUM_LEVEL,
-                 "compositions of weight --max-n")
+        _bound_levels(m, max_n)
     else:
-        _at_most(max_n, MAX_COUNT_M_PLUS_N - m, "--max-n")
+        _bound_poset_grid(m, max_n)
     if suite == "oracle-equivalence" and max_N is not None:
-        _at_most((2 * max_N) ** max_n, MAX_ORACLE_CHOICES,
-                 "oracle choices (2N)^n")
+        _bound_oracle_choices(max_N, max_n)
 
 
 def cmd_verify(args):
@@ -569,7 +606,7 @@ def cmd_verify(args):
             % ", ".join(sorted(SUITES)))
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
-    m = _positive_m(args.m if args.m is not None else 2)
+    m = _positive_m(args.m)
     _bound_verify_grid(name, m, args.max_n if args.max_n is not None
                        else DEFAULT_MAX_N[name], args.max_N)
     checks, run = run_checks(SUITES[name](m, args.max_n, args.max_N,
@@ -594,10 +631,10 @@ def _dims_max_n(m):
 
 def cmd_dims(args):
     m = _require_m(args)
-    maxn = args.max_n if args.max_n is not None else 5
-    _at_most(maxn, _dims_max_n(m), "--max-n")
+    _nonnegative_max_n(args.max_n)
+    _at_most(args.max_n, _dims_max_n(m), "--max-n")
     rows = []
-    for n in range(1, maxn + 1):
+    for n in range(1, args.max_n + 1):
         rows.append({"n": n,
                      "qsym": _level_size(m, n),
                      "peak": cb.count_peak_compositions(m, n)})
@@ -635,23 +672,23 @@ def _build_parser():
                     "posets, and their Hopf algebra maps.")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add(verb, ops, fn, options):
+    def add(verb, ops, fn, options, **defaults):
         p = sub.add_parser(verb)
         if ops:
             p.add_argument("op", choices=ops)
         for name in options.split():
             p.add_argument(name, **_OPTIONS[name])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, **defaults)
         return p
 
     add("comp", ["check", "star", "hat", "conjugate", "reverse", "rainbow",
                  "refinements", "coarsenings", "rep-chain", "enumerate",
-                 "enumerate-peak"], cmd_comp, "--m --max-n --in")
+                 "enumerate-peak"], cmd_comp, "--m --max-n --in", max_n=4)
     add("perm", ["check", "descent-comp", "peak-comp", "peak-set",
                  "standardize", "shuffle"], cmd_perm, "--m --in")
     add("poset", ["check", "canonical", "equivalent", "ideals", "extensions",
                   "product", "coproduct", "antipode", "count"], cmd_poset,
-        "--m --max-n --in").add_argument(
+        "--m --max-n --in", max_n=4).add_argument(
             "--route", choices=("inductive", "chains"), default="inductive")
     add("qsym", ["convert", "product", "coproduct", "antipode", "counit",
                  "gamma", "lambda", "theta"], cmd_qsym,
@@ -659,10 +696,10 @@ def _build_parser():
             "--route", choices=("closed", "inductive"), default="closed")
     add("char", ["eval", "psi"], cmd_char, "--m --in").add_argument("name")
     add("oracle", ["ppartitions", "enriched", "truncate", "split-check"],
-        cmd_oracle, "--m --max-N --in")
+        cmd_oracle, "--m --max-N --in", max_N=2)
     add("verify", None, cmd_verify,
-        "--m --max-n --max-N --seed --suite --stats")
-    add("dims", None, cmd_dims, "--m --max-n")
+        "--m --max-n --max-N --seed --suite --stats", m=2)
+    add("dims", None, cmd_dims, "--m --max-n", max_n=5)
     return ap
 
 
@@ -674,6 +711,12 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         out = args.fn(args)
+        code = 0
+        if isinstance(out, tuple):
+            out, code = out
+        # in the try: json.dumps refuses an int of more than 4300 digits
+        _emit(out)
+        return code
     except ParseFailure as exc:
         _emit({"error": {"type": "parse", "detail": str(exc)}})
         return 2
@@ -684,11 +727,6 @@ def main(argv=None):
         _emit({"error": {"type": "internal",
                          "detail": "%s: %s" % (type(exc).__name__, exc)}})
         return 4
-    code = 0
-    if isinstance(out, tuple):
-        out, code = out
-    _emit(out)
-    return code
 
 
 if __name__ == "__main__":

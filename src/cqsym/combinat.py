@@ -100,12 +100,14 @@ def _block_points(sizes):
     return mask
 
 
-def _comp_of_points(weight_, mask):
+def _join(sizes, cuts):
+    # sums of the runs of sizes between cuts; bit i of cuts cuts after sizes[i]
     parts = []
     run = 0
-    for i in range(weight_):
-        run += 1
-        if i == weight_ - 1 or mask >> i & 1:
+    last = len(sizes) - 1
+    for i, size in enumerate(sizes):
+        run += size
+        if i == last or cuts >> i & 1:
             parts.append(run)
             run = 0
     return tuple(parts)
@@ -125,10 +127,9 @@ def coarsenings(alpha):
     blocks = rainbow_decompose(alpha)
     choices = []
     for sizes, color in blocks:
-        w = sum(sizes)
-        points = _block_points(sizes)
-        choices.append([tuple((p, color) for p in _comp_of_points(w, sub))
-                       for sub in _submasks(points)])
+        # merging runs of parts costs the number of parts, not the weight
+        choices.append([tuple((p, color) for p in _join(sizes, sub))
+                        for sub in _submasks((1 << (len(sizes) - 1)) - 1)])
     out = []
     for combo in product(*choices):
         out.append(tuple(part for blk in combo for part in blk))
@@ -143,9 +144,10 @@ def refinements(alpha):
         w = sum(sizes)
         points = _block_points(sizes)
         free = ((1 << max(w - 1, 0)) - 1) & ~points
+        units = (1,) * w
         opts = []
         for extra in _submasks(free):
-            opts.append(tuple((p, color) for p in _comp_of_points(w, points | extra)))
+            opts.append(tuple((p, color) for p in _join(units, points | extra)))
         choices.append(opts)
     out = []
     for combo in product(*choices):

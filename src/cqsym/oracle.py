@@ -49,8 +49,6 @@ class TPoly:
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
 
-    __hash__ = None
-
     def __repr__(self):
         def var(ij, e):
             s = "x[%d,%d]" % ij

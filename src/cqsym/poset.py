@@ -313,31 +313,12 @@ def disjoint_union(P, Q):
     """P together with Q, no relations across; Q's values shifted up on collision."""
     if P.m != Q.m:
         raise ValueError("disjoint union requires the same number of colors")
-    qvalues = Q.values
-    if set(P.values) & set(qvalues):
-        shift = max(P.values, default=0)
-        qvalues = tuple(v + shift for v in qvalues)
-    values = P.values + qvalues
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    pos = [0] * len(values)
-    for p, i in enumerate(order):
-        pos[i] = p
-    n, np_ = len(values), P.n
-
-    def shifted(above, offset):
-        out = []
-        for a in above:
-            out.append(sum(1 << pos[j + offset] for j in _bits(a)))
-        return out
-
-    above = [0] * n
-    for i, a in enumerate(shifted(P.above, 0)):
-        above[pos[i]] = a
-    for i, a in enumerate(shifted(Q.above, np_)):
-        above[pos[np_ + i]] = a
-    return Poset(P.m, tuple(sorted(values)),
-                 tuple((P.colors + Q.colors)[order[p]] for p in range(n)),
-                 tuple(above))
+    shift = max(P.values, default=0) if set(P.values) & set(Q.values) else 0
+    return make_poset(P.m,
+                      P.elements() + tuple((v + shift, c)
+                                           for v, c in Q.elements()),
+                      P.cover_pairs() + tuple((a + shift, b + shift)
+                                              for a, b in Q.cover_pairs()))
 
 
 # --- canonicalization -----------------------------------------------------
@@ -584,9 +565,6 @@ class PElt:
         return (isinstance(other, PElt) and self.m == other.m
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("PElt is not hashable")
-
     def __repr__(self):
         if not self.terms:
             return "PElt(0)"
@@ -607,9 +585,7 @@ class PElt:
 
     def __sub__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
-        iadd_scaled(out, other.terms, -1)
-        return PElt(self.m, out)
+        return self + -other
 
     def __neg__(self):
         return PElt(self.m, {P: -c for P, c in self.terms.items()})

@@ -85,9 +85,6 @@ class QElt:
             return self.terms == other.terms
         return to_monomial(self).terms == to_monomial(other).terms
 
-    def __hash__(self):
-        raise TypeError("QElt is not hashable")
-
     def __repr__(self):
         if not self.terms:
             return "QElt(%s; 0)" % self.basis
@@ -110,11 +107,7 @@ class QElt:
 
     def __sub__(self, other):
         self._require_same(other)
-        if other.basis != self.basis:
-            return to_monomial(self) - to_monomial(other)
-        out = dict(self.terms)
-        iadd_scaled(out, other.terms, -1)
-        return QElt(self.m, self.basis, out)
+        return self + -other
 
     def __neg__(self):
         return QElt(self.m, self.basis, {a: -c for a, c in self.terms.items()})
@@ -250,10 +243,6 @@ def _stat(basis):
     return cb.descent_composition if basis == "F" else cb.peak_composition
 
 
-def _shift(pi, offset):
-    return tuple((v + offset, c) for v, c in pi)
-
-
 @cache
 def _mul_keys(alpha, beta, basis):
     """Product of two F (or two K) basis keys via chain shuffles.
@@ -263,7 +252,8 @@ def _mul_keys(alpha, beta, basis):
     """
     stat = _stat(basis)
     sigma = cb.rep_chain(alpha)
-    tau = _shift(cb.rep_chain(beta), cb.weight(alpha))
+    w = cb.weight(alpha)
+    tau = tuple((v + w, c) for v, c in cb.rep_chain(beta))
     out = {}
     for pi in cb.shuffles(sigma, tau):
         iadd(out, stat(pi), 1)
@@ -385,8 +375,7 @@ def antipode_inductive_key(alpha, m):
 
 
 def antipode_inductive(e):
-    if e.basis != "M":
-        e = to_monomial(e)
+    e = to_monomial(e)
     acc = QElt.zero(e.m)
     for alpha, c in e.terms.items():
         acc = acc + antipode_inductive_key(alpha, e.m).scale(c)

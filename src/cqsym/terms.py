@@ -10,7 +10,10 @@ These helpers mutate their first argument; the element classes wrap
 them behind a value-style interface.
 """
 
+import re
 from fractions import Fraction
+
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def iadd(terms, key, c):
@@ -43,14 +46,14 @@ def coeff_to_json(c):
 
 
 def coeff_from_json(obj):
-    if isinstance(obj, bool):
-        raise ValueError("coefficient must be an integer or 'p/q' string")
-    if isinstance(obj, int):
+    """An integer, or a string "p" or "p/q" of ASCII digits with an optional
+    "-" on p: no spaces, point or exponent, so it costs its length only."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
-    if isinstance(obj, str):
-        try:
-            f = Fraction(obj)
-        except ZeroDivisionError:
-            raise ValueError("coefficient %r has a zero denominator" % obj)
-        return int(f) if f.denominator == 1 else f
-    raise ValueError("coefficient must be an integer or 'p/q' string")
+    if not isinstance(obj, str) or not _COEFF.fullmatch(obj):
+        raise ValueError("coefficient must be an integer or 'p/q' string")
+    try:
+        f = Fraction(obj)
+    except ZeroDivisionError:
+        raise ValueError("coefficient %r has a zero denominator" % obj)
+    return int(f) if f.denominator == 1 else f

@@ -214,32 +214,23 @@ def _comp_grid(m, max_n):
             for a in cb.enumerate_compositions(m, n)]
 
 
-def _weight_pairs(comps, max_total):
-    """Pairs (a, b) of the weight-sorted composition grid comps with
-    weight(a) + weight(b) <= max_total, in nested-loop order over comps.
-
-    Each a pairs with the prefix of comps up to weight max_total - weight(a).
-    """
-    weights = [cb.weight(a) for a in comps]
-    return [(a, b) for a, w in zip(comps, weights)
-            for b in comps[:bisect_right(weights, max_total - w)]]
-
-
 class _SizePairs:
-    """The pairs (A, B) of a size-sorted poset grid with |A| + |B| <=
-    max_total, in nested-loop order: by the size of A, then the size of
-    B, then A's and B's grid positions.  Pair k is found by arithmetic
-    over the blocks of equal (|A|, |B|), so no pair list is held."""
+    """The pairs (A, B) of a grid sorted by size(item) with size(A) +
+    size(B) <= max_total, in nested-loop order: by the size of A, then
+    the size of B, then A's and B's grid positions.  The size is a
+    poset's n or a composition's weight.  Pair k is found by arithmetic
+    over the blocks of equal (size(A), size(B)), so no pair list is held."""
 
     __slots__ = ("grid", "_starts", "_blocks", "_len")
 
-    def __init__(self, grid, max_total):
+    def __init__(self, grid, max_total, size):
         runs = []   # per size: [size, first grid position, count]
-        for pos, P in enumerate(grid):
-            if runs and runs[-1][0] == P.n:
+        for pos, item in enumerate(grid):
+            s = size(item)
+            if runs and runs[-1][0] == s:
                 runs[-1][2] += 1
             else:
-                runs.append([P.n, pos, 1])
+                runs.append([s, pos, 1])
         self.grid, self._starts, self._blocks = grid, [], []
         total = 0
         for i, a0, na in runs:
@@ -278,6 +269,10 @@ class _SizePairs:
 
 def _poset_pair_json(pr):
     return {"first": poset_json(pr[0]), "second": poset_json(pr[1])}
+
+
+def _comp_pair_json(pr):
+    return {"first": comp_json(pr[0]), "second": comp_json(pr[1])}
 
 
 def _poset_counit_ok(P):
@@ -378,8 +373,7 @@ def _qsym_coassoc_ok(key):
     return lhs == rhs
 
 
-def _qsym_bialgebra_ok(key):
-    m, alpha, beta = key
+def _qsym_bialgebra_ok(m, alpha, beta):
     ea, eb = _m_elt(m, alpha), _m_elt(m, beta)
     lhs = qs.coproduct(qs.to_monomial(qs.multiply(ea, eb)))
     rhs = {}
@@ -421,13 +415,12 @@ def _coalgebra_ok(gf, P):
 def _suite_hopf_axioms(m, max_n, max_N, seed):
     max_n = _max_n("hopf-axioms", max_n)
     grid = _poset_grid(m, max_n)
-    pairs = _SizePairs(grid, max_n)
+    pairs = _SizePairs(grid, max_n, lambda P: P.n)
     qn = min(max_n, 4)
     comps = _comp_grid(m, qn)
     keys = [(m, a) for a in comps]
-    prods = [(m, a, b) for a, b in _weight_pairs(comps, qn)]
+    prods = _SizePairs(comps, qn, cb.weight)
     kj = lambda k: {"comp": comp_json(k[1])}
-    kj2 = lambda k: {"first": comp_json(k[1]), "second": comp_json(k[2])}
     return [
         ("poset-counit", grid, _poset_counit_ok, poset_json),
         ("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
@@ -436,7 +429,8 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
         ("poset-antipode", grid, _poset_antipode_ok, poset_json),
         ("qsym-counit", keys, _qsym_counit_ok, kj),
         ("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
-        ("qsym-bialgebra", prods, _qsym_bialgebra_ok, kj2),
+        ("qsym-bialgebra", prods, lambda pr: _qsym_bialgebra_ok(m, *pr),
+         _comp_pair_json),
         ("qsym-antipode", keys, _qsym_antipode_ok, kj),
     ]
 
@@ -446,7 +440,7 @@ def _morphism_suite(prefix, gf):
     def suite(m, max_n, max_N, seed):
         max_n = _max_n(prefix + "-morphism", max_n)
         grid = _poset_grid(m, max_n)
-        pairs = _SizePairs(grid, max_n)
+        pairs = _SizePairs(grid, max_n, lambda P: P.n)
         return [
             (prefix + "-algebra", pairs,
              lambda pr: qs.multiply(gf(pr[0]), gf(pr[1]))
@@ -462,7 +456,7 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
     max_n = _max_n("theta-morphism", max_n)
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
-    cpairs = _weight_pairs(comps, max_n)
+    cpairs = _SizePairs(comps, max_n, cb.weight)
     fe = lambda a: qs.QElt.basis_elt(m, "F", a)
     return [
         ("theta-after-gamma", grid,
@@ -477,8 +471,7 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
          lambda pr: qs.peak_projection(qs.multiply(fe(pr[0]), fe(pr[1])))
          == qs.multiply(qs.peak_projection(fe(pr[0])),
                         qs.peak_projection(fe(pr[1]))),
-         lambda pr: {"first": comp_json(pr[0]),
-                     "second": comp_json(pr[1])}),
+         _comp_pair_json),
     ]
 
 
@@ -514,7 +507,7 @@ def _suite_oracle_equivalence(m, max_n, max_N, seed):
     max_N = 2 if max_N is None else max_N
     grid = _poset_grid(m, max_n)
     cases = [(P, N) for P in grid for N in range(1, max_N + 1)]
-    pairs = _SizePairs(grid, max_n)
+    pairs = _SizePairs(grid, max_n, lambda P: P.n)
     cj = lambda case: {"poset": poset_json(case[0]), "N": case[1]}
     return [
         ("ppartitions-vs-gamma", cases,

@@ -587,6 +587,139 @@ def test_grid_bounds_admit_their_limits():
     assert code == 0 and out["ok"] is True
 
 
+def _ones(k):
+    return [[1, 0]] * k
+
+
+_CHAIN_LETTERS = "representative chain letters must be <= 65536"
+_COARSENINGS = "coarsenings of the M keys must be <= 65536"
+_NOT_A_COEFF = "coefficient must be an integer or 'p/q' string"
+_NEGATIVE = "--max-n must be >= 0"
+
+
+def _m_one(coeff):
+    return _payload(_qsym_elt(1, "M", (coeff, [[1, 0]])))
+
+
+# Each of these once hung, ran out of memory or printed a traceback.
+@pytest.mark.parametrize("argv, code, detail", [
+    (("qsym", "counit", "--in", _m_one("1e100000000")), 2, _NOT_A_COEFF),
+    (("qsym", "coproduct", "--in", _m_one("1e5000")), 2, _NOT_A_COEFF),
+    (("qsym", "product", "--in", _payload(
+        {"first": json.loads(_m_one(int("9" * 3000))),
+         "second": json.loads(_m_one(int("9" * 3000)))})),
+     3, "Exceeds the limit (4300 digits) for integer string conversion"),
+    (("qsym", "antipode", "--in", _payload(_qsym_elt(1, "M", (1, _ones(22))))),
+     3, _COARSENINGS),
+    (("qsym", "antipode", "--in", _payload(_qsym_elt(1, "M", (1, _ones(30))))),
+     3, _COARSENINGS),
+    (("char", "eval", "zetaQ", "--in", _payload(_one_part("F", 40))),
+     3, "terms in the M expansion must be <= 65536"),
+    (("char", "eval", "nuQ", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(30))))), 3, _COARSENINGS),
+    (("char", "eval", "nuQ:0", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(26))))), 3, _COARSENINGS),
+    (("char", "psi", "nuQ", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(24))))), 3, _COARSENINGS),
+    (("comp", "rep-chain", "--in", '{"m": 1, "comp": [[100000000, 0]]}'),
+     3, _CHAIN_LETTERS),
+    (("comp", "conjugate", "--in", '{"m": 1, "comp": [[100000000, 0]]}'),
+     3, _CHAIN_LETTERS),
+    (("qsym", "antipode", "--in", _payload(_one_part("F", 10 ** 8))),
+     3, _CHAIN_LETTERS),
+    (("qsym", "antipode", "--in", _payload(_one_part("K", 10 ** 8))),
+     3, _CHAIN_LETTERS),
+    (("qsym", "coproduct", "--in", _payload(_one_part("F", 32000))),
+     3, _CHAIN_LETTERS),
+    (("qsym", "coproduct", "--in", _payload(_one_part("K", 256))),
+     3, _CHAIN_LETTERS),
+    (("qsym", "convert", "--basis", "M", "--in",
+      _payload(_one_part("F", 10 ** 12))),
+     3, "terms in the M expansion must be <= 65536"),
+    (("comp", "enumerate", "--m", "2", "--max-n", "-3"), 3, _NEGATIVE),
+    (("poset", "count", "--m", "1", "--max-n", "-2"), 3, _NEGATIVE),
+    (("verify", "--suite", "hopf-axioms", "--m", "1", "--max-n", "-1"),
+     3, _NEGATIVE),
+    (("dims", "--m", "1", "--max-n", "-1"), 3, _NEGATIVE),
+], ids=["exponent-coeff", "huge-exponent-coeff", "unprintable-result",
+        "antipode-22-parts", "antipode-30-parts", "zeta-of-F40",
+        "nu-30-parts", "nu-single-color", "psi-nu", "rep-chain",
+        "conjugate", "antipode-F", "antipode-K", "coproduct-F",
+        "coproduct-K", "convert-huge-weight", "enumerate-negative",
+        "count-negative", "verify-negative", "dims-negative"])
+def test_unbounded_inputs_answer_at_once(argv, code, detail, capsys):
+    start = time.perf_counter()
+    got = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert got == code and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == ("parse" if code == 2 else "domain")
+    assert error["detail" if code == 2 else "invariant"].startswith(detail)
+
+
+@pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "+1/2", "1_000",
+                                   "1/-2", "", "1.5e0", 1.5, True, None])
+def test_coefficients_take_only_the_documented_forms(coeff):
+    code, out = _run("qsym", "counit", "--in", _m_one(coeff))
+    assert code == 2
+    assert out == {"error": {"type": "parse", "detail": _NOT_A_COEFF}}
+
+
+def test_documented_coefficient_forms_are_read():
+    elt = _qsym_elt(1, "M", (-3, [[1, 0]]), ("4/2", [[2, 0]]),
+                    ("-2/3", [[1, 0], [1, 0]]), ("007", [[3, 0]]))
+    code, out = _run("qsym", "convert", "--basis", "M", "--in", _payload(elt))
+    assert code == 0
+    assert [t["coeff"] for t in out["terms"]] == [-3, "-2/3", 2, 7]
+    # the largest product the interpreter prints: 4300 digits
+    nines = json.loads(_m_one(10 ** 2150 - 1))
+    code, out = _run("qsym", "product", "--in",
+                     _payload({"first": nines, "second": nines}))
+    assert code == 0 and len(str(out["terms"][-1]["coeff"])) == 4300
+
+
+def test_new_bounds_admit_their_edges():
+    # S(M_(1^17)) lists all 2^16 coarsenings, reversed
+    code, out = _run("qsym", "antipode", "--in",
+                     _payload(_qsym_elt(1, "M", (1, _ones(17)))))
+    assert code == 0 and len(out["terms"]) == 1 << 16
+    code, out = _run("char", "eval", "nuQ", "--in",
+                     _payload(_qsym_elt(1, "M", (1, _ones(17)))))
+    assert code == 0 and out["value"] == 2
+    # F_(17) has 2^16 refinements in M
+    code, out = _run("char", "eval", "zetaQ", "--in",
+                     _payload(_one_part("F", 17)))
+    assert code == 0 and out["value"] == 1
+    code, out = _run("comp", "rep-chain", "--in",
+                     '{"m": 1, "comp": [[65536, 0]]}')
+    assert code == 0 and out["perm"][-1] == [65536, 0]
+    code, out = _run("comp", "conjugate", "--in",
+                     '{"m": 1, "comp": [[65536, 0]]}')
+    assert code == 0 and out["comp"] == _ones(65536)
+    code, out = _run("qsym", "antipode", "--in", _payload(_one_part("F", 65536)))
+    assert code == 0 and out["terms"] == [{"coeff": 1, "comp": _ones(65536)}]
+    # 255 * 256 = 65,280 letters over the cuts of F_(255)
+    code, out = _run("qsym", "coproduct", "--in", _payload(_one_part("F", 255)))
+    assert code == 0 and len(out["terms"]) == 256
+    code, out = _run("comp", "enumerate", "--m", "2", "--max-n", "0")
+    assert code == 0 and out["rows"] == [{"n": 0, "comps": [[]]}]
+    code, out = _run("poset", "count", "--m", "1", "--max-n", "0")
+    assert code == 0 and out["rows"] == [{"n": 0, "classes": 1}]
+    code, out = _run("dims", "--m", "1", "--max-n", "0")
+    assert code == 0 and out["rows"] == []
+
+
+def test_the_closed_antipode_costs_the_parts_not_the_weight():
+    start = time.perf_counter()
+    code, out = _run("qsym", "antipode", "--in", _payload(_qsym_elt(
+        1, "M", (1, [[30000000, 0], [1, 0]]))))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out["terms"] == [
+        {"coeff": 1, "comp": [[1, 0], [30000000, 0]]},
+        {"coeff": 1, "comp": [[30000001, 0]]}]
+
+
 def test_oracle_admits_every_level_count_its_bound_allows(capsys):
     # (2N)^n admits a point at N = 2^19 and the empty poset at any N, in
     # any number of colors; each answers in time and memory of its output.
@@ -608,6 +741,17 @@ def test_oracle_admits_every_level_count_its_bound_allows(capsys):
 
 
 # --- the installed entry point --------------------------------------------
+
+def test_in_reads_a_file_path(tmp_path):
+    path = tmp_path / "comp.json"
+    path.write_text(_payload({"m": 1, "comp": [[1, 0], [1, 0], [2, 0]]}))
+    code, out = _run("comp", "hat", "--in", str(path))
+    assert code == 0 and out == {"m": 1, "comp": [[4, 0]]}
+    missing = str(tmp_path / "missing.json")
+    code, out = _run("comp", "hat", "--in", missing)
+    assert code == 2 and out["error"]["type"] == "parse"
+    assert out["error"]["detail"].startswith("cannot read %s: " % missing)
+
 
 def test_module_invocation_reads_stdin():
     # the child imports the same cqsym as this process, installed or not

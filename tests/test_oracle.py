@@ -100,6 +100,14 @@ def test_tpoly_equality_ignores_truncation_level():
     assert a == b
 
 
+def test_tpoly_repr_and_hash():
+    p = _mono(2, 1, (3, [(1, 0, 2), (2, 0, 1)]), (-1, []))
+    assert repr(p) == "-1*1 + 3*x[1,0]^2*x[2,0]"
+    assert repr(oc.TPoly(2, 1)) == "0"
+    with pytest.raises(TypeError):
+        hash(p)
+
+
 def test_tpoly_rejects_mixed_color_counts():
     x = _mono(2, 1, (1, [(1, 0, 1)]))
     y = _mono(2, 2, (1, [(1, 1, 1)]))

@@ -334,6 +334,27 @@ def test_unit_and_counit():
     assert ps.product(one, e) == e == ps.product(e, one)
 
 
+def test_element_arithmetic_repr_and_hash():
+    point = ps.make_poset(1, [(1, 0)]).canonical
+    chain = ps.chain_poset(1, [(1, 0), (2, 0)]).canonical
+    A, B = ps.PElt.basis(point), ps.PElt.basis(chain)
+    diff = A - B
+    assert diff.terms == {point: 1, chain: -1}
+    assert -diff == B - A == B + -A
+    assert A - A == ps.PElt.zero(1)
+    assert 2 * A == A * 2 == A + A == A.scale(2)
+    with pytest.raises(ValueError):
+        A - ps.PElt.one(2)
+    with pytest.raises(TypeError):
+        hash(A)
+    assert repr(diff) == ("PElt(1*Poset(m=1, elements=[(1, 0)], covers=[]) + "
+                          "-1*Poset(m=1, elements=[(1, 0), (2, 0)], "
+                          "covers=[(1, 2)]))")
+    assert repr(ps.PElt.zero(1)) == "PElt(0)"
+    assert repr(ps.make_poset(2, [(3, 1), (5, 0)], [(3, 5)])) == (
+        "Poset(m=2, elements=[(3, 1), (5, 0)], covers=[(3, 5)])")
+
+
 def test_coproduct_multiplicities():
     # The V shape has two size-3 ideals whose complement is a point and
     # whose restriction is the same class, so the tensor key carries

@@ -276,6 +276,26 @@ def test_counit():
     assert qs.counit(qs.QElt.zero(1)) == 0
 
 
+def test_element_arithmetic_repr_and_hash():
+    F = _basis(2, "F", ((2, 0),))
+    M = _basis(2, "M", ((1, 0), (1, 1)))
+    diff = F - M    # across bases: in M
+    assert diff.basis == "M"
+    assert diff.terms == {((2, 0),): 1, ((1, 0), (1, 0)): 1,
+                          ((1, 0), (1, 1)): -1}
+    assert -F == F.scale(-1) and (-F).basis == "F"
+    assert 3 * F == F * 3 == F.scale(3)
+    assert F * M == qs.multiply(F, M)
+    with pytest.raises(ValueError):
+        F - _basis(1, "F", ((2, 0),))
+    with pytest.raises(TypeError):
+        hash(F)
+    assert repr(diff) == ("QElt(1*M[(1, 0), (1, 0)] + -1*M[(1, 0), (1, 1)]"
+                          " + 1*M[(2, 0)])")
+    assert repr(F.scale(Fraction(1, 2))) == "QElt(Fraction(1, 2)*F[(2, 0)])"
+    assert repr(F - F) == "QElt(F; 0)"
+
+
 # --- antipode -------------------------------------------------------------
 
 def test_antipode_monomial_golden():

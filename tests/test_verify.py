@@ -73,7 +73,7 @@ def test_pair_grids_match_the_listed_reference(m, max_n):
     owner = reference_by_larger_factor(grid)
     for max_total in range(max_n + 1):
         want = reference_size_pairs(grid, max_total)
-        pairs = verify._SizePairs(grid, max_total)
+        pairs = verify._SizePairs(grid, max_total, lambda P: P.n)
         assert len(pairs) == len(want)
         assert list(pairs) == want
         assert [pairs.owner(k) for k in range(len(pairs))] == [
@@ -259,7 +259,7 @@ def test_the_poset_checks_agree_with_the_reference():
         for P in grid:
             assert verify._poset_coassoc_ok(P) == reference_coassoc_ok(P), P
             assert verify._poset_antipode_ok(P) == reference_antipode_ok(P), P
-        for pr in verify._SizePairs(grid, 4):
+        for pr in verify._SizePairs(grid, 4, lambda P: P.n):
             assert (verify._poset_bialgebra_ok(pr)
                     == reference_bialgebra_ok(pr)), pr
 
