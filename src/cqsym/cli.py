@@ -24,7 +24,7 @@ from . import combinat as cb
 from . import oracle as oc
 from . import poset as ps
 from . import qsym as qs
-from .terms import coeff_from_json, coeff_to_json, iadd
+from .terms import coeff_from_json, coeff_to_json, comp_json, iadd, poset_json
 
 
 class ParseFailure(Exception):
@@ -50,7 +50,10 @@ MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
                           # chain pairs of qsym product, M antipode
-                          # coarsenings and representative chain letters
+                          # coarsenings, representative chain letters and
+                          # parts over the cuts of M keys
+MAX_SHUFFLE_LETTERS = 1 << 20  # letters of the words that perm shuffle and
+                               # qsym product build
 MAX_DIMS_DIGITS = 1000    # digits of a dims entry; str() refuses past 4300
 
 
@@ -122,6 +125,13 @@ def _bound_chains(keys, cuts=False):
     _at_most(size, MAX_EXPANSION, "representative chain letters")
 
 
+def _bound_deconcats(keys):
+    """Refuse the M coproduct if it lists too many parts: l(l+1) over the
+    l+1 cuts of a key of l parts."""
+    size = sum(l * (l + 1) for l in map(len, keys))
+    _at_most(size, MAX_EXPANSION, "parts over the cuts of the M keys")
+
+
 def _shuffle_count(u, v):
     # C(u+v, u) as the product over i <= min(u, v) of (max(u, v) + i) / i,
     # stopping once past MAX_EXPANSION, so a huge weight costs a few steps
@@ -135,18 +145,22 @@ def _shuffle_count(u, v):
 
 
 def _bound_shuffles(a, b):
-    """Refuse a * b if it shuffles too many chain pairs.
+    """Refuse a * b if it shuffles too many chain pairs or letters.
 
     Counted before multiplying, on the keys of the basis the product
     shuffles in (F, or K when both factors are K): keys of weights u and
-    v shuffle C(u+v, u) pairs of representative chains.
+    v shuffle C(u+v, u) pairs of representative chains, into words of
+    u+v letters.
     """
     weights_b = Counter(map(cb.weight, b.terms)).items()
-    size = 0
+    size = letters = 0
     for u, i in Counter(map(cb.weight, a.terms)).items():
         for v, j in weights_b:
-            size += i * j * _shuffle_count(u, v)
+            pairs = i * j * _shuffle_count(u, v)
+            size += pairs
+            letters += pairs * (u + v)
             _at_most(size, MAX_EXPANSION, "chain-pair shuffles")
+            _at_most(letters, MAX_SHUFFLE_LETTERS, "shuffled letters")
 
 
 def _bound_inductive_antipode(e):
@@ -277,10 +291,6 @@ def _sub_payload(payload, key):
 
 # --- serialization --------------------------------------------------------
 
-def comp_json(alpha):
-    return [[s, c] for s, c in alpha]
-
-
 perm_json = comp_json
 
 
@@ -288,12 +298,6 @@ def qsym_json(e):
     return {"m": e.m, "basis": e.basis,
             "terms": [{"coeff": coeff_to_json(c), "comp": comp_json(a)}
                       for a, c in sorted(e.terms.items())]}
-
-
-def poset_json(P):
-    return {"m": P.m,
-            "elements": [[v, c] for v, c in P.elements()],
-            "covers": [[a, b] for a, b in P.cover_pairs()]}
 
 
 def pelt_json(e):
@@ -381,8 +385,10 @@ def cmd_perm(args):
         m = _payload_m(payload, args)
         _, left = parse_perm(dict(payload, m=m), args, key="left")
         _, right = parse_perm(dict(payload, m=m), args, key="right")
-        _at_most(math.comb(len(left) + len(right), len(left)), MAX_EXPANSION,
-                 "shuffles C(a+b, a)")
+        count = _shuffle_count(len(left), len(right))
+        _at_most(count, MAX_EXPANSION, "shuffles C(a+b, a)")
+        _at_most(count * (len(left) + len(right)), MAX_SHUFFLE_LETTERS,
+                 "shuffled letters")
         words = sorted(cb.shuffles(left, right))
         return {"m": m, "perms": [perm_json(w) for w in words]}
     m, pi = parse_perm(payload, args)
@@ -473,7 +479,9 @@ def cmd_qsym(args):
         raise ValueError("no conversion into the K basis; K spans only the "
                          "peak subalgebra")
     if op == "coproduct":
-        if e.basis != "M":
+        if e.basis == "M":
+            _bound_deconcats(e.terms)
+        else:
             _bound_chains(e.terms, cuts=True)
         return qsym_tensor_json(e.m, e.basis, qs.coproduct(e))
     if op == "antipode":

@@ -16,7 +16,7 @@ refinement order is the Boolean lattice of split points of the block's
 weight, which is what coarsenings/refinements exploit.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 def check_comp(alpha, m):
@@ -276,25 +276,19 @@ def conjugate(alpha):
 
 
 def shuffles(sigma, tau):
-    """All interleavings of sigma and tau preserving each word's order."""
+    """All interleavings of sigma and tau preserving each word's order.
+
+    One word per set of positions for sigma's letters, in lexicographic
+    order of the positions: where two words first differ, the one with
+    sigma's letter there comes first."""
     if set(v for v, _ in sigma) & set(v for v, _ in tau):
         raise ValueError("shuffle words must have disjoint value sets")
     out = []
-
-    def rec(i, j, acc):
-        if i == len(sigma) and j == len(tau):
-            out.append(tuple(acc))
-            return
-        if i < len(sigma):
-            acc.append(sigma[i])
-            rec(i + 1, j, acc)
-            acc.pop()
-        if j < len(tau):
-            acc.append(tau[j])
-            rec(i, j + 1, acc)
-            acc.pop()
-
-    rec(0, 0, [])
+    for pos in combinations(range(len(sigma) + len(tau)), len(sigma)):
+        word = list(tau)
+        for p, letter in zip(pos, sigma):
+            word.insert(p, letter)
+        out.append(tuple(word))
     return out
 
 

@@ -17,13 +17,22 @@ basis keys of the algebra elements (PElt), and they hash by identity:
 an equal labeled poset hashes as its representative.  Per order
 structure (closure masks), functools caches hold what the canonical
 posets of that structure share (closure and below masks, cover pairs;
-values 1..n once per size), the ideal masks, the plan that cuts a
-poset along each ideal, and the table of linear extensions (each as an
-index order and its ascent mask), which persists for the process: n!
-entries on an n-element antichain.  The canonical ideal splits are
-memoized on the instance as one flat tuple (I0, R0, I1, R1, ...) of
-interned posets, with no pair objects: splits() pairs them up as it
-iterates.  Products and antipodes live in process-wide functools caches.
+values 1..n once per size), its canonical form (the canonical masks,
+a picker of the colors in the first minimizing placement and pickers
+of the canonical structure's automorphisms), the ideal masks, the plan
+that cuts a poset along each ideal, and the table of linear extensions
+(each as an index order and its ascent mask), which persists for the
+process: n! entries on an n-element antichain.  Canonicalization and
+split pickers are itemgetters made once per index tuple and shared by
+every structure.  A split plan holds, per ideal side, the side's
+canonical form with its picker composed onto the side's indices, so
+the canonical ideal splits are read from the colors straight into the
+intern table, with no memo per labeled side; the same core canonicalizes
+unions, and the _canonical_from memo serves labeled input only.  The
+splits are memoized on the instance as one flat tuple (I0, R0, I1, R1,
+...) of interned posets, with no pair objects: splits() pairs them up
+as it iterates.  Products and antipodes live in process-wide functools
+caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -68,7 +77,7 @@ def _sub_above(above, mask):
             s |= 1 << (mask & (b - 1)).bit_count()
             a ^= b
         sub.append(s)
-    return idxs, tuple(sub)
+    return tuple(idxs), tuple(sub)
 
 
 def _cover_pairs(values, above, below):
@@ -85,9 +94,14 @@ def _cover_pairs(values, above, below):
 def _picker(idxs):
     """An itemgetter that returns the tuple of the items at idxs."""
     lo = idxs[0] if idxs else 0
-    if idxs == list(range(lo, lo + len(idxs))):
+    if list(idxs) == list(range(lo, lo + len(idxs))):
         return itemgetter(slice(lo, lo + len(idxs)))
     return itemgetter(*idxs)
+
+
+# the pickers of placements and split sides: one per index tuple, shared
+# by every structure
+_shared_picker = cache(_picker)
 
 
 def _closed_masks(rel):
@@ -99,17 +113,24 @@ def _closed_masks(rel):
 
 
 @cache
+def _ideal_masks(above):
+    return tuple(_closed_masks(_invert(above)))
+
+
+@cache
 def _split_plan(above):
-    """Ideal masks of an order structure and, per ideal, a color picker
-    and closure masks for the ideal and for its complement."""
+    """The split sides of an order structure: the ideal and then its
+    complement, per ideal in _ideal_masks order.  A side is what
+    _struct_canon gives for its induced order, with the picker composed
+    so that it reads the side's colors from the whole poset's."""
     full = (1 << len(above)) - 1
-    masks = _closed_masks(_invert(above))
-    plan = []
-    for mask in masks:
-        idxs, above_i = _sub_above(above, mask)
-        rest, above_r = _sub_above(above, full & ~mask)
-        plan.append((_picker(idxs), above_i, _picker(rest), above_r))
-    return tuple(masks), tuple(plan)
+    sides = []
+    for mask in _ideal_masks(above):
+        for side in (mask, full & ~mask):
+            idxs, sub = _sub_above(above, side)
+            above_c, pick, auts = _struct_canon(sub)
+            sides.append((above_c, _shared_picker(pick(idxs)), auts))
+    return tuple(sides)
 
 
 @cache
@@ -201,7 +222,7 @@ class Poset:
 
     def ideal_masks(self):
         """Bitmasks of all order ideals (downward closed element sets)."""
-        return _split_plan(self.above)[0]
+        return _ideal_masks(self.above)
 
     def restrict(self, mask):
         """Induced labeled subposet on the elements of mask."""
@@ -222,9 +243,11 @@ class Poset:
         if self._splits is None:
             m, colors = self.m, self.colors
             flat = []
-            for pick_i, above_i, pick_r, above_r in _split_plan(self.above)[1]:
-                flat.append(_canonical_from(m, pick_i(colors), above_i))
-                flat.append(_canonical_from(m, pick_r(colors), above_r))
+            for above_c, pick, auts in _split_plan(self.above):
+                best = pick(colors)
+                if auts:
+                    best = min(aut(best) for aut in auts)
+                flat.append(_intern_canonical(m, best, above_c))
             self._splits = tuple(flat)
         it = iter(self._splits)
         return zip(it, it)
@@ -328,14 +351,19 @@ def disjoint_union(P, Q):
 # position, the row of order relations of each newly placed element to
 # the earlier ones; colors are minimized afterwards over all structure
 # minimizers.  Minimizing rows first and colors second matches sorting
-# by (cover list, color list).
+# by (cover list, color list).  The minimizers are the first one followed
+# by each automorphism of the canonical structure (its own minimizers), so
+# the canonical colors are the least of the automorphisms applied to the
+# colors read in the first placement.
 
 @cache
 def _struct_canon(above):
-    """Canonical closure masks plus all minimizing placements."""
+    """Canonical closure masks, a shared picker of the colors in the first
+    minimizing placement, and shared pickers of the canonical structure's
+    automorphisms, or () when the identity is the only one."""
     n = len(above)
     if n == 0:
-        return ((), ((),))
+        return ((), _shared_picker(()), ())
     below = _invert(above)
     comp = [above[i] | below[i] for i in range(n)]
     partials = [((), 0)]
@@ -361,7 +389,13 @@ def _struct_canon(above):
         pos[i] = p
     above_c = tuple(sum(1 << pos[j] for j in _bits(above[first[p]]))
                     for p in range(n))
-    return (above_c, orders)
+    if above_c != above:
+        auts = _struct_canon(above_c)[2]
+    elif len(orders) > 1:
+        auts = tuple(map(_shared_picker, orders))
+    else:
+        auts = ()
+    return above_c, _shared_picker(first), auts
 
 
 @cache
@@ -407,11 +441,16 @@ def _intern_canonical(m, colors, above):
     return _Canonical(m, colors, above)
 
 
-@cache
-def _canonical_from(m, colors, above):
-    above_c, orders = _struct_canon(above)
-    best = min(tuple(colors[i] for i in order) for order in orders)
+def _canonicalize(m, colors, above):
+    above_c, pick, auts = _struct_canon(above)
+    best = pick(colors)
+    if auts:
+        best = min(aut(best) for aut in auts)
     return _intern_canonical(m, best, above_c)
+
+
+# the memo for labeled input; splits and unions use the core directly
+_canonical_from = cache(_canonicalize)
 
 
 def canonical_form(P):
@@ -466,20 +505,17 @@ def _canonical_posets(m, n):
     structs = []
     seen = set()
     for above in labeled_orders(n):
-        above_c, _ = _struct_canon(above)
+        above_c = _struct_canon(above)[0]
         if above_c not in seen:
             seen.add(above_c)
             structs.append(above_c)
     out = []
     for above_c in structs:
-        _, orders = _struct_canon(above_c)
-        rigid = len(orders) == 1
+        # a canonical structure's first minimizing placement is the identity
+        auts = _struct_canon(above_c)[2]
         found = set()
         for colors in _iproduct(range(m), repeat=n):
-            if rigid:
-                best = colors
-            else:
-                best = min(tuple(colors[i] for i in order) for order in orders)
+            best = min(aut(colors) for aut in auts) if auts else colors
             if best not in found:
                 found.add(best)
                 out.append(_intern_canonical(m, best, above_c))
@@ -530,8 +566,8 @@ def _union(A, B):
         return _union(B, A)
     if A.m != B.m:
         raise ValueError("disjoint union requires the same number of colors")
-    return _canonical_from(A.m, A.colors + B.colors,
-                           A.above + tuple(b << A.n for b in B.above))
+    return _canonicalize(A.m, A.colors + B.colors,
+                         A.above + tuple(b << A.n for b in B.above))
 
 
 class PElt:

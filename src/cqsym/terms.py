@@ -1,4 +1,5 @@
-"""Sparse term maps with exact coefficients.
+"""Sparse term maps with exact coefficients, and the JSON forms of
+coefficients, compositions and posets.
 
 Every algebra element in this package is a dict from a hashable basis
 key to a nonzero coefficient.  Coefficients are Python ints wherever
@@ -57,3 +58,14 @@ def coeff_from_json(obj):
     except ZeroDivisionError:
         raise ValueError("coefficient %r has a zero denominator" % obj)
     return int(f) if f.denominator == 1 else f
+
+
+def comp_json(alpha):
+    """A composition (or a colored permutation) as [[part, color], ...]."""
+    return [[s, c] for s, c in alpha]
+
+
+def poset_json(P):
+    return {"m": P.m,
+            "elements": [[v, c] for v, c in P.elements()],
+            "covers": [[a, b] for a, b in P.cover_pairs()]}

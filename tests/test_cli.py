@@ -306,6 +306,13 @@ def test_verify_stats_adds_seconds_and_cache_info():
     assert caches["qsym._cut_keys"]["currsize"] > 0
 
 
+def test_verify_stats_show_the_shared_pickers():
+    code, out = _run("verify", "--suite", "hopf-axioms", "--m", "1",
+                     "--max-n", "2", "--stats")
+    assert code == 0
+    assert out["stats"]["caches"]["poset._shared_picker"]["currsize"] > 0
+
+
 def test_verify_stats_show_the_expansion_memos():
     code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
                      "--max-n", "3", "--stats")
@@ -595,6 +602,8 @@ _CHAIN_LETTERS = "representative chain letters must be <= 65536"
 _COARSENINGS = "coarsenings of the M keys must be <= 65536"
 _NOT_A_COEFF = "coefficient must be an integer or 'p/q' string"
 _NEGATIVE = "--max-n must be >= 0"
+_M_CUTS = "parts over the cuts of the M keys must be <= 65536"
+_LETTERS = "shuffled letters must be <= 1048576"
 
 
 def _m_one(coeff):
@@ -641,12 +650,26 @@ def _m_one(coeff):
     (("verify", "--suite", "hopf-axioms", "--m", "1", "--max-n", "-1"),
      3, _NEGATIVE),
     (("dims", "--m", "1", "--max-n", "-1"), 3, _NEGATIVE),
+    (("qsym", "coproduct", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(256))))), 3, _M_CUTS),
+    (("qsym", "coproduct", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(600))))), 3, _M_CUTS),
+    (("perm", "shuffle", "--in", _payload(_shuffle_pair(1024, 1))),
+     3, _LETTERS),
+    (("qsym", "product", "--in", _payload(
+        {"first": _one_part("F", 1024), "second": _one_part("F", 1)})),
+     3, _LETTERS),
+    (("qsym", "product", "--in", _payload(
+        {"first": _one_part("F", 65535), "second": _one_part("F", 1)})),
+     3, _LETTERS),
 ], ids=["exponent-coeff", "huge-exponent-coeff", "unprintable-result",
         "antipode-22-parts", "antipode-30-parts", "zeta-of-F40",
         "nu-30-parts", "nu-single-color", "psi-nu", "rep-chain",
         "conjugate", "antipode-F", "antipode-K", "coproduct-F",
         "coproduct-K", "convert-huge-weight", "enumerate-negative",
-        "count-negative", "verify-negative", "dims-negative"])
+        "count-negative", "verify-negative", "dims-negative",
+        "coproduct-M-256-parts", "coproduct-M-600-parts",
+        "shuffle-letters", "product-letters", "product-long-chain"])
 def test_unbounded_inputs_answer_at_once(argv, code, detail, capsys):
     start = time.perf_counter()
     got = cli.main(list(argv))
@@ -702,12 +725,33 @@ def test_new_bounds_admit_their_edges():
     # 255 * 256 = 65,280 letters over the cuts of F_(255)
     code, out = _run("qsym", "coproduct", "--in", _payload(_one_part("F", 255)))
     assert code == 0 and len(out["terms"]) == 256
+    # and as many parts over the cuts of M_((1,0)^255)
+    code, out = _run("qsym", "coproduct", "--in",
+                     _payload(_qsym_elt(1, "M", (1, _ones(255)))))
+    assert code == 0 and len(out["terms"]) == 256
+    # 1024 chain pairs of 1024 letters: 2^20 shuffled letters
+    code, out = _run("qsym", "product", "--in", _payload(
+        {"first": _one_part("F", 1023), "second": _one_part("F", 1)}))
+    assert code == 0 and len(out["terms"]) == 1024
     code, out = _run("comp", "enumerate", "--m", "2", "--max-n", "0")
     assert code == 0 and out["rows"] == [{"n": 0, "comps": [[]]}]
     code, out = _run("poset", "count", "--m", "1", "--max-n", "0")
     assert code == 0 and out["rows"] == [{"n": 0, "classes": 1}]
     code, out = _run("dims", "--m", "1", "--max-n", "0")
     assert code == 0 and out["rows"] == []
+
+
+def test_long_words_shuffle_without_recursion():
+    # both once exited 4 with a RecursionError, one call per letter
+    code, out = _run("perm", "shuffle", "--in",
+                     _payload(_shuffle_pair(1000, 1)))
+    assert code == 0 and len(out["perms"]) == 1001
+    assert out["perms"][0] == [[v, 0] for v in range(1, 1002)]
+    unit = _qsym_elt(1, "M", (1, []))
+    code, out = _run("qsym", "product", "--in", _payload(
+        {"first": _one_part("F", 1000), "second": unit}))
+    assert code == 0 and out == {"m": 1, "basis": "F", "terms": [
+        {"coeff": 1, "comp": [[1000, 0]]}]}
 
 
 def test_the_closed_antipode_costs_the_parts_not_the_weight():
@@ -763,6 +807,22 @@ def test_module_invocation_reads_stdin():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"m": 1, "comp": [[4, 0]]}
+
+
+def test_module_invocation_of_verify_imports_the_cli_once():
+    # python -m runs cli.py as __main__; importing it again as cqsym.cli
+    # would compile and run the module a second time
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cqsym.cli", "verify",
+         "--suite", "dimension-counts", "--m", "1", "--max-n", "2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"]
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "cqsym.verify" in imported and "cqsym.cli" not in imported
 
 
 # --- every verb/op pair: one valid and one malformed call ------------------

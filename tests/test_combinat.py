@@ -221,6 +221,39 @@ def test_shuffles():
     assert len(cb.shuffles(left, right)) == 10
 
 
+def _recursive_shuffles(sigma, tau):
+    """The former shuffles, one recursive call per letter: the reference
+    for the order of the words."""
+    out = []
+
+    def rec(i, j, acc):
+        if i == len(sigma) and j == len(tau):
+            out.append(tuple(acc))
+            return
+        if i < len(sigma):
+            acc.append(sigma[i])
+            rec(i + 1, j, acc)
+            acc.pop()
+        if j < len(tau):
+            acc.append(tau[j])
+            rec(i, j + 1, acc)
+            acc.pop()
+
+    rec(0, 0, [])
+    return out
+
+
+def test_shuffles_keep_the_recursive_order():
+    for a in range(6):
+        for b in range(6):
+            left = tuple((v, v % 2) for v in range(1, a + 1))
+            right = tuple((v, 1) for v in range(a + 1, a + b + 1))
+            assert cb.shuffles(left, right) == \
+                _recursive_shuffles(left, right), (a, b)
+            assert cb.shuffles(right, left) == \
+                _recursive_shuffles(right, left), (b, a)
+
+
 def test_check_perm_rejects():
     for pi, m in [(((1, 0), (1, 0)), 1), (((1, 2),), 2), (((0, 0),), 1)]:
         try:

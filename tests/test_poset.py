@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from cqsym import poset as ps
+from split_reference import assert_splits_match_reference
 
 
 def _poset(m, values, covers=(), colors=None):
@@ -206,7 +207,38 @@ def test_stored_splits_are_flat_interned_posets():
             assert X is ps._intern_canonical(X.m, X.colors, X.above)
 
 
+@pytest.mark.parametrize("m, max_n", [(1, 5), (2, 5), (3, 4)])
+def test_splits_match_the_labeled_canonicalization(m, max_n):
+    for P in _grid(m, max_n):
+        assert_splits_match_reference(P)
+
+
+def test_splits_and_unions_bypass_the_labeled_memo():
+    grid = _grid(2, 4)
+    ps._canonical_from.cache_clear()
+    ps._union.cache_clear()
+    for P in grid:
+        P._splits = None
+        for I, R in P.splits():
+            ps.product_key(R, I)
+    assert ps._union.cache_info().currsize > 0
+    assert ps._canonical_from.cache_info().currsize == 0
+
+
 # --- per-structure sharing ------------------------------------------------
+
+def test_equal_index_tuples_give_one_picker():
+    # a picker applied to 0..n-1 gives back its index tuple
+    pickers = {}
+    for P in _grid(1, 5):
+        for _, pick, auts in ps._split_plan(P.above):
+            for f in (pick,) + auts:
+                idxs = f(tuple(range(P.n)))
+                pickers.setdefault(idxs, set()).add(id(f))
+    assert len(pickers) > 1
+    assert all(len(ids) == 1 for ids in pickers.values())
+    assert ps._shared_picker((0, 2)) is ps._shared_picker((0, 2))
+
 
 def test_representatives_share_their_structure_and_size_data():
     by_above, by_size = {}, {}

@@ -19,6 +19,7 @@ from cqsym import qsym as qs
 from extension_reference import (assert_gfs_match_reference,
                                  reference_extensions)
 from oracle_reference import assert_kernels_match_reference
+from split_reference import assert_splits_match_reference
 
 SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
                   database=None)
@@ -53,6 +54,13 @@ def test_splits_match_restricted_ideals(P):
         got, want = tuple(Q.splits()), _splits_by_restriction(Q)
         assert len(got) == len(want)
         assert all(a is c and b is d for (a, b), (c, d) in zip(got, want))
+
+
+@SEEDED
+@given(labeled_posets(max_n=8))
+def test_splits_match_the_labeled_canonicalization(P):
+    for Q in (P, P.canonical):
+        assert_splits_match_reference(Q)
 
 
 @SEEDED
