@@ -125,10 +125,13 @@ def _bound_chains(keys, cuts=False):
     _at_most(size, MAX_EXPANSION, "representative chain letters")
 
 
-def _bound_deconcats(keys):
-    """Refuse the M coproduct if it lists too many parts: l(l+1) over the
-    l+1 cuts of a key of l parts."""
-    size = sum(l * (l + 1) for l in map(len, keys))
+def _bound_deconcats(keys, nested=False):
+    """Refuse reading too many parts over the cuts of M keys: l(l+1) over
+    the l+1 cuts of a key of l parts, as the M coproduct lists them, or
+    nested, l(l+1)(l+2)/3 over the cuts of its l suffixes, as Psi reads
+    them (a convolved character reads as many over the prefixes)."""
+    size = sum(l * (l + 1) * (l + 2) // 3 if nested else l * (l + 1)
+               for l in map(len, keys))
     _at_most(size, MAX_EXPANSION, "parts over the cuts of the M keys")
 
 
@@ -530,17 +533,21 @@ def _resolve_character(name, m):
     return kind, single(m, j)
 
 
-def _char_argument(payload, args, kind, family):
+def _char_argument(payload, args, kind, family, cuts):
     """Build the Hopf element a character consumes, sniffing the payload.
-    A qsym payload is bounded as the character reads it: in M, and for
-    nuQ through the coarsenings of its M keys."""
+    A qsym payload is bounded as the character reads it: in M, for nuQ
+    through the coarsenings of its M keys, and nested over their cuts
+    when cuts is true (Psi and the convolved characters)."""
     if kind == "either":
         kind = "qsym" if "basis" in payload else "poset"
     if kind == "qsym":
         e = parse_qsym(payload, args)
         _bound_rewrite(e, "M")
+        monomial = qs.to_monomial(e)
         if family == "nuQ":
-            _bound_coarsenings(qs.to_monomial(e))
+            _bound_coarsenings(monomial)
+        if cuts:
+            _bound_deconcats(monomial.terms, nested=True)
         return kind, e
     return kind, ps.PElt.basis(parse_poset(payload, args).canonical)
 
@@ -550,19 +557,19 @@ def cmd_char(args):
     m = _payload_m(payload, args)
     if args.op == "eval":
         kind, phi = _resolve_character(args.name, m)
-        kind, elt = _char_argument(payload, args, kind,
-                                   args.name.partition(":")[0])
+        # nuQ, and zetaQ over more than one color, are convolutions
+        family = args.name.partition(":")[0]
+        cuts = family == "nuQ" or (args.name == "zetaQ" and m > 1)
+        kind, elt = _char_argument(payload, args, kind, family, cuts)
         if phi is None:
             dom = ch.qsym_domain(m) if kind == "qsym" else ch.poset_domain(m)
             phi = ch.counit_character(dom)
-        if phi.domain.m != m:
-            raise ValueError("operands must share the same number of colors")
         return {"name": phi.name, "m": m, "value": coeff_to_json(phi(elt))}
     base = args.name
     if base not in _CHAR_FAMILIES:
         raise ParseFailure("unknown character family %r" % base)
     kind, single, _ = _CHAR_FAMILIES[base]
-    kind, elt = _char_argument(payload, args, kind, base)
+    kind, elt = _char_argument(payload, args, kind, base, True)
     chars = [single(m, j) for j in range(m)]
     return qsym_json(ch.universal_morphism(elt, chars))
 

@@ -14,25 +14,28 @@ in for value comparisons everywhere.
 Canonical instances (values 1..n, fixed points of canonical_form) are
 interned: one object per equivalence class per process.  They are the
 basis keys of the algebra elements (PElt), and they hash by identity:
-an equal labeled poset hashes as its representative.  Per order
-structure (closure masks), functools caches hold what the canonical
-posets of that structure share (closure and below masks, cover pairs;
-values 1..n once per size), its canonical form (the canonical masks,
-a picker of the colors in the first minimizing placement and pickers
-of the canonical structure's automorphisms), the ideal masks, the plan
-that cuts a poset along each ideal, and the table of linear extensions
-(each as an index order and its ascent mask), which persists for the
-process: n! entries on an n-element antichain.  Canonicalization and
-split pickers are itemgetters made once per index tuple and shared by
-every structure.  A split plan holds, per ideal side, the side's
-canonical form with its picker composed onto the side's indices, so
-the canonical ideal splits are read from the colors straight into the
-intern table, with no memo per labeled side; the same core canonicalizes
-unions, and the _canonical_from memo serves labeled input only.  The
+an equal labeled poset hashes as its representative.
+
+A canonical form of an order structure (closure masks) is a triple: the
+canonical masks, a picker of the colors in the first minimizing
+placement, and pickers of the canonical structure's automorphisms (()
+when the identity is the only one).  Pickers are itemgetters made once
+per index tuple and shared by every structure.  _canonicalize alone
+applies a form: it picks the colors, takes the least automorphism image
+and interns the result, for labeled input, ideal splits, unions and the
+class grid alike.
+
+Per order structure, functools caches hold what its canonical posets
+share (closure and below masks, cover pairs; values 1..n once per
+size), its canonical form, the ideal masks, the split plan and the
+table of linear extensions (each as an index order and its ascent
+mask), which persists for the process: n! entries on an n-element
+antichain.  A split plan is one canonical form per ideal side, its
+picker composed onto the side's indices, so no labeled side is built
+or memoized; the _canonical_from memo serves labeled input only.  The
 splits are memoized on the instance as one flat tuple (I0, R0, I1, R1,
-...) of interned posets, with no pair objects: splits() pairs them up
-as it iterates.  Products and antipodes live in process-wide functools
-caches.
+...) of interned posets, which splits() pairs up as it iterates.
+Products and antipodes live in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -242,13 +245,8 @@ class Poset:
         again."""
         if self._splits is None:
             m, colors = self.m, self.colors
-            flat = []
-            for above_c, pick, auts in _split_plan(self.above):
-                best = pick(colors)
-                if auts:
-                    best = min(aut(best) for aut in auts)
-                flat.append(_intern_canonical(m, best, above_c))
-            self._splits = tuple(flat)
+            self._splits = tuple([_canonicalize(m, colors, side)
+                                  for side in _split_plan(self.above)])
         it = iter(self._splits)
         return zip(it, it)
 
@@ -285,7 +283,7 @@ def make_poset(m, elements, covers=()):
     values.sort()
     index = {v: i for i, v in enumerate(values)}
     n = len(values)
-    succ = [0] * n
+    above = [0] * n
     for pair in covers:
         if len(pair) != 2:
             raise ValueError("poset covers must be (lower, upper) value pairs")
@@ -294,27 +292,13 @@ def make_poset(m, elements, covers=()):
             raise ValueError("poset cover references an unknown element value")
         if lo == hi:
             raise ValueError("poset order must be irreflexive")
-        succ[index[lo]] |= 1 << index[hi]
-
-    # closure by depth-first search, detecting cycles
-    above = [None] * n
-    state = [0] * n
-
-    def close(i):
-        if state[i] == 1:
-            raise ValueError("poset cover relations contain a cycle")
-        if state[i] == 2:
-            return above[i]
-        state[i] = 1
-        acc = succ[i]
-        for j in _bits(succ[i]):
-            acc |= close(j)
-        above[i] = acc
-        state[i] = 2
-        return acc
-
-    for i in range(n):
-        close(i)
+        above[index[lo]] |= 1 << index[hi]
+    # Warshall's closure on bitmasks; a cycle puts an element above itself
+    for k in range(n):
+        bit, up = 1 << k, above[k]
+        above = [a | up if a & bit else a for a in above]
+    if any(a >> i & 1 for i, a in enumerate(above)):
+        raise ValueError("poset cover relations contain a cycle")
     return Poset(m, tuple(values), tuple(colors[v] for v in values), tuple(above))
 
 
@@ -441,16 +425,20 @@ def _intern_canonical(m, colors, above):
     return _Canonical(m, colors, above)
 
 
-def _canonicalize(m, colors, above):
-    above_c, pick, auts = _struct_canon(above)
+def _canonicalize(m, colors, form):
+    """The interned representative of the poset with these colors on an
+    order whose canonical form is form, a triple as _struct_canon gives."""
+    above_c, pick, auts = form
     best = pick(colors)
     if auts:
         best = min(aut(best) for aut in auts)
     return _intern_canonical(m, best, above_c)
 
 
-# the memo for labeled input; splits and unions use the core directly
-_canonical_from = cache(_canonicalize)
+@cache
+def _canonical_from(m, colors, above):
+    # the memo for labeled input; splits and unions canonicalize directly
+    return _canonicalize(m, colors, _struct_canon(above))
 
 
 def canonical_form(P):
@@ -502,23 +490,13 @@ def canonical_posets(m, n):
 
 @cache
 def _canonical_posets(m, n):
-    structs = []
-    seen = set()
-    for above in labeled_orders(n):
-        above_c = _struct_canon(above)[0]
-        if above_c not in seen:
-            seen.add(above_c)
-            structs.append(above_c)
     out = []
-    for above_c in structs:
-        # a canonical structure's first minimizing placement is the identity
-        auts = _struct_canon(above_c)[2]
-        found = set()
-        for colors in _iproduct(range(m), repeat=n):
-            best = min(aut(colors) for aut in auts) if auts else colors
-            if best not in found:
-                found.add(best)
-                out.append(_intern_canonical(m, best, above_c))
+    for above in labeled_orders(n):
+        # the canonical structures are the orders that are their own form
+        form = _struct_canon(above)
+        if form[0] == above:
+            out.extend({_canonicalize(m, colors, form)
+                        for colors in _iproduct(range(m), repeat=n)})
     out.sort(key=Poset.sort_key)
     return tuple(out)
 
@@ -566,8 +544,8 @@ def _union(A, B):
         return _union(B, A)
     if A.m != B.m:
         raise ValueError("disjoint union requires the same number of colors")
-    return _canonicalize(A.m, A.colors + B.colors,
-                         A.above + tuple(b << A.n for b in B.above))
+    above = A.above + tuple(b << A.n for b in B.above)
+    return _canonicalize(A.m, A.colors + B.colors, _struct_canon(above))
 
 
 class PElt:

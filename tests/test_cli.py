@@ -610,6 +610,12 @@ def _m_one(coeff):
     return _payload(_qsym_elt(1, "M", (coeff, [[1, 0]])))
 
 
+def _alternating(k):
+    # M_((1,0),(1,1),...) of k parts in alternating colors: k one-part
+    # blocks, so it has no coarsening to bound
+    return _payload(_qsym_elt(2, "M", (1, [[1, i % 2] for i in range(k)])))
+
+
 # Each of these once hung, ran out of memory or printed a traceback.
 @pytest.mark.parametrize("argv, code, detail", [
     (("qsym", "counit", "--in", _m_one("1e100000000")), 2, _NOT_A_COEFF),
@@ -662,6 +668,22 @@ def _m_one(coeff):
     (("qsym", "product", "--in", _payload(
         {"first": _one_part("F", 65535), "second": _one_part("F", 1)})),
      3, _LETTERS),
+    (("char", "psi", "zetaQ", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(58))))), 3, _M_CUTS),
+    (("char", "psi", "zetaQ", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(600))))), 3, _M_CUTS),
+    (("char", "psi", "zetaQ", "--in",
+      _payload(_qsym_elt(1, "M", (1, _ones(1000))))), 3, _M_CUTS),
+    (("char", "psi", "nuQ", "--m", "2", "--in", _alternating(600)),
+     3, _M_CUTS),
+    (("char", "eval", "nuQ", "--m", "2", "--in", _alternating(600)),
+     3, _M_CUTS),
+    (("char", "eval", "nuQ:1", "--m", "2", "--in", _alternating(58)),
+     3, _M_CUTS),
+    (("char", "eval", "zetaQ", "--m", "2", "--in", _alternating(58)),
+     3, _M_CUTS),
+    (("char", "eval", "zetaQ", "--m", "2", "--in", _alternating(8000)),
+     3, _M_CUTS),
 ], ids=["exponent-coeff", "huge-exponent-coeff", "unprintable-result",
         "antipode-22-parts", "antipode-30-parts", "zeta-of-F40",
         "nu-30-parts", "nu-single-color", "psi-nu", "rep-chain",
@@ -669,7 +691,10 @@ def _m_one(coeff):
         "coproduct-K", "convert-huge-weight", "enumerate-negative",
         "count-negative", "verify-negative", "dims-negative",
         "coproduct-M-256-parts", "coproduct-M-600-parts",
-        "shuffle-letters", "product-letters", "product-long-chain"])
+        "shuffle-letters", "product-letters", "product-long-chain",
+        "psi-zeta-58-parts", "psi-zeta-600-parts", "psi-zeta-1000-parts",
+        "psi-nu-alternating", "nu-alternating", "nu-single-color-58-parts",
+        "zeta-convolved-58-parts", "zeta-convolved-8000-parts"])
 def test_unbounded_inputs_answer_at_once(argv, code, detail, capsys):
     start = time.perf_counter()
     got = cli.main(list(argv))
@@ -739,6 +764,20 @@ def test_new_bounds_admit_their_edges():
     assert code == 0 and out["rows"] == [{"n": 0, "classes": 1}]
     code, out = _run("dims", "--m", "1", "--max-n", "0")
     assert code == 0 and out["rows"] == []
+    # 57 * 58 * 59 / 3 = 65,018 parts over the cuts of the suffixes of a
+    # 57-part key; Psi over zetaQ is the identity
+    code, out = _run("char", "psi", "zetaQ", "--in",
+                     _payload(_qsym_elt(1, "M", (1, _ones(57)))))
+    assert code == 0 and out["terms"] == [{"coeff": 1, "comp": _ones(57)}]
+    for argv in (("psi", "nuQ"), ("eval", "nuQ"), ("eval", "nuQ:1"),
+                 ("eval", "zetaQ")):
+        code, out = _run("char", *argv, "--m", "2", "--in", _alternating(57))
+        assert code == 0, argv
+    # zetaQ in one color, or in color j alone, reads no cuts
+    for argv in (("zetaQ", "--m", "1"), ("zetaQ:0", "--m", "2")):
+        code, out = _run("char", "eval", *argv, "--in", _payload(_qsym_elt(
+            int(argv[-1]), "M", (1, [[1, 0]] * 8000))))
+        assert code == 0 and out["value"] == 0, argv
 
 
 def test_long_words_shuffle_without_recursion():

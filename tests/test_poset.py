@@ -60,6 +60,43 @@ def test_order_closure():
         assert not P.less(hi, lo)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_every_labeled_order_closes_from_its_covers(n):
+    values = tuple(range(1, n + 1))
+    elements = [(v, 0) for v in values]
+    for above in ps.labeled_orders(n):
+        below = ps._invert(above)
+        covers = ps._cover_pairs(values, above, below)
+        assert ps.make_poset(1, elements, covers).above == above
+        # every comparable pair given as a cover closes the same way
+        pairs = [(values[i], values[j]) for i, a in enumerate(above)
+                 for j in ps._bits(a)]
+        assert ps.make_poset(1, elements, pairs[::-1]).above == above
+
+
+# a cycle of each length k, closed by (k, 1), with one element above it
+# and one aside; then every comparable pair of the chain 1 < 2 < 3 < 4
+# and (4, 2), a cycle that runs through the redundant cover (2, 4)
+_CYCLES = [[(v, v + 1) for v in range(1, k)] + [(k, 1), (k, k + 1)]
+           for k in range(2, 9)]
+_CYCLES.append([(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4), (4, 2)])
+
+
+@pytest.mark.parametrize("covers", _CYCLES)
+def test_cycles_are_rejected(covers):
+    values = range(1, max(max(pair) for pair in covers) + 2)
+    with pytest.raises(ValueError,
+                       match="^poset cover relations contain a cycle$"):
+        _poset(1, values, covers)
+
+
+def test_a_long_chain_closes_without_recursion():
+    # three times the interpreter's default recursion limit
+    P = ps.chain_poset(1, [(v, 0) for v in range(1, 3001)])
+    assert P.above[0] == (1 << 3000) - 2 and P.above[-1] == 0
+    assert len(P.cover_pairs()) == 2999
+
+
 # --- equivalence ----------------------------------------------------------
 
 def test_equivalent_uncolored_pair():

@@ -2,8 +2,9 @@
 
 The digests pin the exact JSON of every `cqsym verify` suite on a small
 grid and the canonical representatives of every colored poset class up
-to four elements, so a change to term order, representative choice or
-report layout shows up here even when every identity still holds.
+to five elements in one or two colors and four in three, so a change to
+term order, representative choice or report layout shows up here even
+when every identity still holds.
 """
 
 import hashlib
@@ -51,6 +52,9 @@ CANONICAL_SHA256 = {
     (2, 2): "aa1181785515bc15c318565a3380ae478a10c6660a386b2ca5a94554f00f22db",
     (2, 3): "65df3b7674b8e32bf5e24171f38672b023b719e8c9482873f75f719cb04e4b3d",
     (2, 4): "ae3e879cae5579505030d3d904cf942cf9544ed4dee7bb38aa9c223c065008ea",
+    (1, 5): "2333166d94bd5bd106660e69f3bbf9aef93097b8595b1c86f6ab14b657e3d314",
+    (2, 5): "f938837cf079d80a96f373d83a3569bbfa9c84c34fbe7e71165b084cb3c98f90",
+    (3, 4): "c8a21cfdbff8f1d1cfa8762bd5f5bd2c7fb682d0f313d809c61cda5467f431c3",
 }
 
 
