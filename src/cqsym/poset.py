@@ -22,8 +22,16 @@ placement, and pickers of the canonical structure's automorphisms (()
 when the identity is the only one).  Pickers are itemgetters made once
 per index tuple and shared by every structure.  _canonicalize alone
 applies a form: it picks the colors, takes the least automorphism image
-and interns the result, for labeled input, ideal splits, unions and the
-class grid alike.
+and interns the result, for labeled input, ideal splits and unions.
+
+The class grid is generated, not filtered.  The first n-1 positions of a
+canonical structure are a canonical structure: a smaller placement of
+them, followed by the last element, would place the whole structure
+smaller.  So the canonical structures on n elements are the one-element
+extensions of those on n-1 that are their own form.  Walked in
+cover-pair order, each structure's classes are the colorings, in
+increasing order, that are their own least automorphism image; that is
+Poset.sort_key order with no sort of the posets.
 
 Per order structure, functools caches hold what its canonical posets
 share (closure and below masks, cover pairs; values 1..n once per
@@ -31,9 +39,13 @@ size), its canonical form, the ideal masks, the split plan and the
 table of linear extensions (each as an index order and its ascent
 mask), which persists for the process: n! entries on an n-element
 antichain.  A split plan is one canonical form per ideal side, its
-picker composed onto the side's indices, so no labeled side is built
-or memoized; the _canonical_from memo serves labeled input only.  The
-splits are memoized on the instance as one flat tuple (I0, R0, I1, R1,
+picker composed onto the side's indices, so no labeled side is built.
+A poset's two whole-poset sides are its own class; every other side is
+looked up in the _side_class memo by m, the colors in the side's first
+placement and its canonical masks, so the automorphism scan runs once
+per distinct side coloring, not once per side of every poset.  The
+_canonical_from memo serves labeled input only.  The splits are
+memoized on the instance as one flat tuple (I0, R0, I1, R1,
 ...) of interned posets, which splits() pairs up as it iterates.
 Products and antipodes live in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
@@ -110,9 +122,17 @@ _shared_picker = cache(_picker)
 def _closed_masks(rel):
     """Masks, in increasing order, of the element sets that contain rel[i]
     whenever they contain i: order ideals for rel = below, filters for
-    rel = above."""
-    return [mask for mask in range(1 << len(rel))
-            if not any(rel[i] & ~mask for i in _bits(mask))]
+    rel = above.  They are walked by size, each from the last by adding
+    one element whose rel lies inside it, so the cost follows their
+    count, not 2^n."""
+    full = (1 << len(rel)) - 1
+    out, layer = [0], [0]
+    while layer:
+        layer = list({mask | 1 << i for mask in layer
+                      for i in _bits(full & ~mask) if not rel[i] & ~mask})
+        out += layer
+    out.sort()
+    return out
 
 
 @cache
@@ -146,20 +166,31 @@ def extension_table(above):
     An antichain on n elements has n! extensions; the table holds one
     entry per extension for the life of the process."""
     n, below = len(above), _invert(above)
-    out = []
-    acc = [None] * n
+    if n == 0:
+        return ((_picker(()), 0),)
 
-    def rec(t, assigned, ascents):
-        if t == n:
-            out.append((_picker(acc), ascents))
-            return
-        for i in _bits(~assigned & ((1 << n) - 1)):
-            if not (below[i] & ~assigned):
-                acc[t] = i
-                rise = 1 << (t - 1) if t and acc[t - 1] < i else 0
-                rec(t + 1, assigned | (1 << i), ascents | rise)
+    def ready(free):
+        # the elements left with nothing left below them, least first
+        return iter([i for i in _bits(free) if not below[i] & free])
 
-    rec(0, 0, 0)
+    out, acc = [], [None] * n
+    # one frame per position being filled, in place of a recursion: the
+    # elements left before it, the ascents so far and its untried choices
+    frames = [((1 << n) - 1, 0, ready((1 << n) - 1))]
+    while frames:
+        free, ascents, choices = frames[-1]
+        t = len(frames) - 1
+        for i in choices:
+            acc[t] = i
+            rise = 1 << (t - 1) if t and acc[t - 1] < i else 0
+            if t + 1 == n:
+                out.append((_picker(acc), ascents | rise))
+            else:
+                rest = free ^ 1 << i
+                frames.append((rest, ascents | rise, ready(rest)))
+                break
+        else:
+            frames.pop()
     return tuple(out)
 
 
@@ -244,9 +275,12 @@ class Poset:
         per order ideal, in ideal_masks order.  Call again to iterate
         again."""
         if self._splits is None:
-            m, colors = self.m, self.colors
-            self._splits = tuple([_canonicalize(m, colors, side)
-                                  for side in _split_plan(self.above)])
+            # the two whole-poset sides are this poset's own class
+            m, n, colors, whole = self.m, self.n, self.colors, self.canonical
+            self._splits = tuple([
+                whole if len(above_c) == n
+                else _side_class(m, pick(colors), above_c)
+                for above_c, pick, _ in _split_plan(self.above)])
         it = iter(self._splits)
         return zip(it, it)
 
@@ -435,10 +469,17 @@ def _canonicalize(m, colors, form):
     return _intern_canonical(m, best, above_c)
 
 
-@cache
-def _canonical_from(m, colors, above):
-    # the memo for labeled input; splits and unions canonicalize directly
+def _class_of(m, colors, above):
     return _canonicalize(m, colors, _struct_canon(above))
+
+
+# two memos of one map.  _canonical_from serves labeled input.
+# _side_class serves split sides, given by their canonical masks and the
+# colors read in their first minimizing placement: that placement is an
+# automorphism of the canonical structure, so it gives the same class.
+# Unions canonicalize directly.
+_canonical_from = cache(_class_of)
+_side_class = cache(_class_of)
 
 
 def canonical_form(P):
@@ -456,6 +497,23 @@ def _sub_canonical(P, mask):
 
 # --- enumeration ----------------------------------------------------------
 
+def _extensions(above):
+    """The orders on one more element, index len(above), that induce above
+    on the others: one per down-set d and up-set u of the new element
+    with every element of d below every element of u."""
+    k = len(above)
+    full = (1 << k) - 1
+    upsets = _closed_masks(above)
+    for d in _closed_masks(_invert(above)):
+        allowed = full
+        for a in _bits(d):
+            allowed &= above[a]
+        for u in upsets:
+            if not u & ~allowed:
+                yield tuple([above[i] | (1 << k) if d >> i & 1 else above[i]
+                             for i in range(k)] + [u])
+
+
 @cache
 def labeled_orders(n):
     """Closure masks of every partial order on n value-ordered elements.
@@ -464,22 +522,20 @@ def labeled_orders(n):
     """
     if n == 0:
         return ((),)
-    out = []
-    k = n - 1
-    full = (1 << k) - 1
-    for above in labeled_orders(k):
-        upsets = _closed_masks(above)
-        for d in _closed_masks(_invert(above)):
-            allowed = full
-            for a in _bits(d):
-                allowed &= above[a]
-            for u in upsets:
-                if u & ~allowed:
-                    continue
-                new = [above[i] | (1 << k) if d >> i & 1 else above[i]
-                       for i in range(k)]
-                new.append(u)
-                out.append(tuple(new))
+    return tuple(new for above in labeled_orders(n - 1)
+                 for new in _extensions(above))
+
+
+@cache
+def _canonical_structures(n):
+    """The canonical order structures on n elements, in cover-pair order:
+    the one-element extensions of those on n-1 that are their own form
+    (orderly generation; the module docstring gives the reason)."""
+    if n == 0:
+        return ((),)
+    out = [new for above in _canonical_structures(n - 1)
+           for new in _extensions(above) if _struct_canon(new)[0] == new]
+    out.sort(key=lambda above: _shape(above)[3])
     return tuple(out)
 
 
@@ -490,14 +546,14 @@ def canonical_posets(m, n):
 
 @cache
 def _canonical_posets(m, n):
+    # sort_key order: structures by cover pairs, then colorings in
+    # increasing order, keeping each that is its least automorphism image
     out = []
-    for above in labeled_orders(n):
-        # the canonical structures are the orders that are their own form
-        form = _struct_canon(above)
-        if form[0] == above:
-            out.extend({_canonicalize(m, colors, form)
-                        for colors in _iproduct(range(m), repeat=n)})
-    out.sort(key=Poset.sort_key)
+    for above in _canonical_structures(n):
+        auts = _struct_canon(above)[2]
+        for colors in _iproduct(range(m), repeat=n):
+            if not auts or min(aut(colors) for aut in auts) == colors:
+                out.append(_intern_canonical(m, colors, above))
     return tuple(out)
 
 

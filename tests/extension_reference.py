@@ -4,10 +4,12 @@ Each extension is built as a colored permutation of the poset's letters
 and its descent or peak composition is computed on it.  The library reads
 the same extensions off a per-structure table and looks the statistic up
 per (colors, ascent mask) pattern; it must give the same terms, first
-visited in the same order.
+visited in the same order.  The table itself is kept as the recursion
+first wrote it, which the library walks with an explicit stack.
 """
 
 from cqsym import combinat as cb
+from cqsym import poset as ps
 from cqsym import qsym as qs
 from cqsym.terms import iadd
 
@@ -54,3 +56,24 @@ def assert_gfs_match_reference(P):
     want_gamma, want_lam = reference_gfs(P)
     assert list(gamma.terms.items()) == list(want_gamma.items())
     assert list(lam.terms.items()) == list(want_lam.items())
+
+
+def reference_extension_table(above):
+    """The extension table by the recursion first used: per extension, its
+    index order and ascent mask, depth first with the least index first."""
+    n, below = len(above), ps._invert(above)
+    out = []
+    acc = [None] * n
+
+    def rec(t, assigned, ascents):
+        if t == n:
+            out.append((tuple(acc), ascents))
+            return
+        for i in _bits(~assigned & ((1 << n) - 1)):
+            if not (below[i] & ~assigned):
+                acc[t] = i
+                rise = 1 << (t - 1) if t and acc[t - 1] < i else 0
+                rec(t + 1, assigned | (1 << i), ascents | rise)
+
+    rec(0, 0, 0)
+    return out

@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from cqsym import cli
+from cqsym import poset as ps
 
 
 def _run(*argv):
@@ -311,6 +312,18 @@ def test_verify_stats_show_the_shared_pickers():
                      "--max-n", "2", "--stats")
     assert code == 0
     assert out["stats"]["caches"]["poset._shared_picker"]["currsize"] > 0
+
+
+def test_verify_stats_show_the_split_side_memo():
+    ps._side_class.cache_clear()
+    for n in range(4):
+        for P in ps.canonical_posets(1, n):
+            P._splits = None
+    code, out = _run("verify", "--suite", "hopf-axioms", "--m", "1",
+                     "--max-n", "3", "--stats")
+    assert code == 0
+    info = out["stats"]["caches"]["poset._side_class"]
+    assert info["currsize"] > 0 and info["hits"] > 0
 
 
 def test_verify_stats_show_the_expansion_memos():

@@ -6,10 +6,13 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cqsym import poset as ps
+from extension_reference import reference_extension_table
+from grid_reference import reference_canonical_posets, reference_closed_masks
 from split_reference import assert_splits_match_reference
 
 
@@ -196,6 +199,22 @@ def test_ideals_are_downward_closed():
                                for j in range(P.n) if mask >> j & 1)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_closed_sets_match_the_subset_filter(n):
+    for above in ps.labeled_orders(n):
+        for rel in (above, ps._invert(above)):
+            assert ps._closed_masks(rel) == reference_closed_masks(rel)
+
+
+def test_a_long_chain_has_its_ideals_at_once():
+    # the subset filter would test 2^300 sets
+    P = ps.chain_poset(1, [(v, 0) for v in range(1, 301)])
+    start = time.perf_counter()
+    masks = P.ideal_masks()
+    assert time.perf_counter() - start < 1.0
+    assert masks == tuple((1 << k) - 1 for k in range(301))
+
+
 def test_linear_extensions_golden():
     P = _poset(1, [1, 4, 5], [(5, 1), (5, 4)])
     found = sorted(tuple(v for v, _ in pi) for pi in P.linear_extensions())
@@ -207,6 +226,25 @@ def test_linear_extension_counts():
     assert len(chain.linear_extensions()) == 1
     anti = ps.antichain_poset(1, [(v, 0) for v in (1, 2, 3, 4)])
     assert len(anti.linear_extensions()) == math.factorial(4)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_extension_tables_match_the_recursion(n):
+    idxs = tuple(range(n))
+    for above in ps.labeled_orders(n):
+        got = [(pick(idxs), ascents)
+               for pick, ascents in ps.extension_table(above)]
+        assert got == reference_extension_table(above), above
+
+
+def test_a_long_chain_extends_without_recursion():
+    # three times the interpreter's default recursion limit; the chain
+    # 1 < 2 < ... < 3000 is built from its closure masks directly
+    n = 3000
+    above = tuple(((1 << n) - 1) & -(2 << i) for i in range(n))
+    P = ps.Poset(2, tuple(range(1, n + 1)), (0, 1) * (n // 2), above)
+    assert P.linear_extensions() == [P.elements()]
+    assert ps.extension_table(above)[0][1] == (1 << (n - 1)) - 1
 
 
 def _splits_by_restriction(P):
@@ -260,6 +298,35 @@ def test_splits_and_unions_bypass_the_labeled_memo():
             ps.product_key(R, I)
     assert ps._union.cache_info().currsize > 0
     assert ps._canonical_from.cache_info().currsize == 0
+
+
+def test_split_sides_come_from_one_memo_without_the_whole_poset():
+    grid = _grid(2, 4)
+    ps._side_class.cache_clear()
+    ps._canonical_from.cache_clear()
+    for P in grid:
+        P._splits = None
+        P.splits()
+    # the memo's keys are exactly the proper sides' first-placement
+    # colorings: none has the whole poset's size, none repeats
+    keys = {(P.m, pick(P.colors), above_c) for P in grid
+            for above_c, pick, _ in ps._split_plan(P.above)
+            if len(above_c) < P.n}
+    assert max(len(above_c) for _, _, above_c in keys) == 3
+    assert ps._side_class.cache_info().currsize == len(keys)
+    by_class = {(ps._side_class(*key), key[1]) for key in keys}
+    assert len(by_class) == len(keys)
+    assert all(X.above == key[2] for key in keys
+               for X in [ps._side_class(*key)])
+    assert ps._canonical_from.cache_info().currsize == 0
+
+
+def test_the_whole_poset_sides_are_its_own_class():
+    for P in _grid(2, 3) + [_poset(2, (2, 5, 7), [(7, 2)], {5: 1})]:
+        P._splits = None
+        pairs = tuple(P.splits())
+        assert pairs[0][1] is pairs[-1][0] is P.canonical
+        assert pairs[0][0] is pairs[-1][1] is ps.empty_poset(2)
 
 
 # --- per-structure sharing ------------------------------------------------
@@ -327,6 +394,14 @@ def test_canonical_class_counts():
         [1, 2, 11, 108, 1795]
     assert [len(ps.canonical_posets(3, n)) for n in range(4)] == \
         [1, 3, 24, 352]
+
+
+@pytest.mark.parametrize("m, max_n", [(1, 6), (2, 5), (3, 4)])
+def test_generated_grid_matches_the_filtered_one(m, max_n):
+    for n in range(max_n + 1):
+        got, want = ps.canonical_posets(m, n), reference_canonical_posets(m, n)
+        assert len(got) == len(want), (m, n)
+        assert all(P is Q for P, Q in zip(got, want)), (m, n)
 
 
 def test_canonical_posets_are_distinct_classes():

@@ -110,3 +110,13 @@ def test_hash_follows_equality_under_relabeling(P, data):
             if a == b:
                 assert hash(a) == hash(b)
     assert ({P: 1}.get(Q) == 1) == (P == Q)
+
+
+@SEEDED
+@given(labeled_posets(max_n=8))
+def test_canonical_structures_have_canonical_prefixes(P):
+    # the lemma behind the class grid's orderly generation
+    above_c = ps._struct_canon(P.above)[0]
+    low = (1 << (P.n - 1)) - 1
+    prefix = tuple(a & low for a in above_c[:-1])
+    assert ps._struct_canon(prefix)[0] == prefix
