@@ -12,15 +12,18 @@ is realized as a concrete colored permutation with the right descent or
 peak composition, the two chains are shuffled on disjoint values, and
 the resulting descent/peak compositions are collected.  The antipodes
 are the closed forms: coarsen-and-reverse with sign on M, conjugation
-with sign on F, reversal of a representative chain on K.
+with sign on F, reversal of a representative chain on K.  The inductive
+M antipode, their cross-check, never leaves M: it multiplies by the
+colored quasi-shuffle, in which only parts of one color merge.
 
 Γ and Λ sum over the linear extensions of a poset's canonical form,
 read off its structure's extension table (poset.extension_table): each
 extension gives the colors along it and its ascent mask, and the
 descent or peak composition is memoized per such pattern.
 
-The F/K product of two keys, the F/K cuts of one key, the refinements
-of one key, the M expansion of one K key, the peak test of one K key,
+The F/K product of two keys, the M quasi-shuffle of two keys, the F/K
+cuts of one key, the refinements of one key, the M expansion of one K
+key, the peak test of one K key, the inductive antipode of one M key,
 Γ and Λ of one canonical poset and the statistic of one (colors, ascent
 mask) pattern are memoized.  The cached maps and tuples are shared, so
 callers only read them and never mutate them; the public k_to_m_key
@@ -28,9 +31,9 @@ hands out a copy.
 
 The constructor cleans the term maps it is given (tuple keys, zeros
 dropped, K keys checked).  The maps that build their results here
-(multiply, f_to_m, m_to_f, k_to_m, antipode, peak_projection, Γ and Λ)
-make clean maps already and wrap them through _built without cleaning
-them again.
+(multiply, f_to_m, m_to_f, k_to_m, both antipodes, peak_projection, Γ
+and Λ) make clean maps already and wrap them through _built without
+cleaning them again.
 """
 
 from functools import cache
@@ -354,32 +357,44 @@ def antipode_m_key(alpha):
 
 
 @cache
-def antipode_inductive_key(alpha, m):
-    """S(M_alpha) through the connected-Hopf recursion; oracle route.
+def _quasi_shuffle(alpha, beta):
+    """M_alpha * M_beta as a sparse M map, by the colored quasi-shuffle:
+    each factor keeps the order of its parts, and two parts merge only
+    when they share a color.  Memoized per key pair; the map is shared,
+    so callers only read it."""
+    if not alpha or not beta:
+        return {alpha + beta: 1}
+    (s, i), (t, j) = alpha[0], beta[0]
+    heads = [(alpha[0], alpha[1:], beta), (beta[0], alpha, beta[1:])]
+    if i == j:
+        heads.append(((s + t, i), alpha[1:], beta[1:]))
+    out = {}
+    for head, a, b in heads:
+        for key, c in _quasi_shuffle(a, b).items():
+            iadd(out, (head,) + key, c)
+    return out
 
-    S(M_()) = M_(); otherwise S(M_a) = -M_a - sum over proper splits
-    a = b|c (b, c nonempty) of S(M_b) * M_c, with the product computed
-    through the F basis.  Cross-checks the closed form.  There is no
-    bound here: each cut with |b| = u and |c| = v shuffles C(u+v, u)
-    chain pairs per pair of F keys and rewrites the product back into M
-    (the CLI counts both before computing).
+
+@cache
+def antipode_inductive_key(alpha, m):
+    """S(M_alpha) by the connected-Hopf recursion, the oracle route for
+    the closed form: S(M_()) = M_(), else S(M_a) = -M_a - sum over splits
+    a = b|c (b, c nonempty) of S(M_b) * M_c, taken in M by the colored
+    quasi-shuffle.  Unbounded here; its work grows with the parts only.
     """
-    if not alpha:
-        return QElt.one(m)
-    acc = QElt(m, "M", {alpha: -1})
+    out = {alpha: -1} if alpha else {(): 1}
     for i in range(1, len(alpha)):
-        sb = antipode_inductive_key(alpha[:i], m)
-        prod = multiply(sb, QElt(m, "M", {alpha[i:]: 1}))
-        acc = acc - to_monomial(prod)
-    return acc
+        for beta, c in antipode_inductive_key(alpha[:i], m).terms.items():
+            iadd_scaled(out, _quasi_shuffle(beta, alpha[i:]), -c)
+    return _built(m, "M", out)
 
 
 def antipode_inductive(e):
     e = to_monomial(e)
-    acc = QElt.zero(e.m)
+    out = {}
     for alpha, c in e.terms.items():
-        acc = acc + antipode_inductive_key(alpha, e.m).scale(c)
-    return acc
+        iadd_scaled(out, antipode_inductive_key(alpha, e.m).terms, c)
+    return _built(e.m, "M", out)
 
 
 # --- the peak projection and the poset maps -------------------------------

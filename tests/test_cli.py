@@ -11,7 +11,10 @@ from contextlib import redirect_stdout
 import pytest
 
 from cqsym import cli
+from cqsym import combinat as cb
 from cqsym import poset as ps
+from cqsym import qsym as qs
+from inductive_bound_reference import reference_bound_inductive_antipode
 
 
 def _run(*argv):
@@ -505,7 +508,7 @@ def _shuffle_pair(a, b):
     (("qsym", "antipode", "--route", "inductive", "--in", _payload(_F18)),
      "terms in the M expansion must be <= 65536"),
     (("qsym", "antipode", "--route", "inductive", "--in",
-      _payload(_two_parts(4, 6))),
+      _payload(_ELEVEN_PARTS)),
      "inductive antipode shuffles and terms must be <= 65536"),
     (("oracle", "truncate", "--max-N", "1", "--in", _payload(_F18)),
      "terms in the M expansion must be <= 65536"),
@@ -566,8 +569,7 @@ def test_bounds_admit_their_limits():
     code, out = _run("qsym", "product", "--in", _payload(
         {"first": _one_part("F", 9), "second": _one_part("F", 9)}))
     assert code == 0 and out["basis"] == "F" and out["terms"]
-    # S(M_(3,7)) cuts once: 4 * 64 F pairs of C(10, 3) = 120 chain pairs
-    # each, and 3^9 M terms, 50,403 in all; M_(4,6) counts 73,443
+    # S(M_(3,7)) counts 3^2 for its two parts, whatever their weights
     code, out = _run("qsym", "antipode", "--route", "inductive", "--in",
                      _payload(_two_parts(3, 7)))
     assert code == 0 and out["terms"] == [
@@ -617,6 +619,7 @@ _NOT_A_COEFF = "coefficient must be an integer or 'p/q' string"
 _NEGATIVE = "--max-n must be >= 0"
 _M_CUTS = "parts over the cuts of the M keys must be <= 65536"
 _LETTERS = "shuffled letters must be <= 1048576"
+_ORACLE_CHOICES = "oracle choices (2N)^n must be <= 1048576"
 
 
 def _m_one(coeff):
@@ -834,6 +837,75 @@ def test_oracle_admits_every_level_count_its_bound_allows(capsys):
     code, out = _run("oracle", "enriched", "--max-N", "1", "--in", wide)
     assert code == 0 and out["terms"] == [
         {"exps": [[1, (1 << 20) - 1, 1]], "coeff": 2}]
+
+
+def test_oracle_truncate_bounds_its_whole_output():
+    # 256 keys of three parts at N = 32 make 2^18 choices each, 2^26 in
+    # all; a bound on the longest key alone let them print 80 MB
+    keys = [[[a, 0], [b, 0], [c, 0]]
+            for a in range(1, 9) for b in range(1, 9) for c in range(1, 5)]
+    start = time.perf_counter()
+    code, out = _run("oracle", "truncate", "--max-N", "32", "--in",
+                     _payload(_qsym_elt(1, "M", *[(1, k) for k in keys])))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out["error"]["invariant"] == _ORACLE_CHOICES
+
+
+def test_oracle_truncate_admits_its_edge():
+    # (2 * 2)^10 = 2^20 choices for one 10-part key; one key more is over
+    ten = (1, _ones(10))
+    code, out = _run("oracle", "truncate", "--max-N", "2", "--in",
+                     _payload(_qsym_elt(1, "M", ten)))
+    assert code == 0 and out == {"N": 2, "m": 1, "terms": []}
+    code, out = _run("oracle", "truncate", "--max-N", "2", "--in",
+                     _payload(_qsym_elt(1, "M", ten, (1, [[1, 0]]))))
+    assert code == 3 and out["error"]["invariant"] == _ORACLE_CHOICES
+
+
+def test_the_inductive_antipode_costs_the_parts_not_the_weight():
+    # the weight model of the first bound hung here; the answer has two terms
+    start = time.perf_counter()
+    code, out = _run("qsym", "antipode", "--route", "inductive", "--in",
+                     _payload(_two_parts(10 ** 7, 10 ** 7)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out["terms"] == [
+        {"coeff": 1, "comp": [[10 ** 7, 0], [10 ** 7, 0]]},
+        {"coeff": 1, "comp": [[2 * 10 ** 7, 0]]}]
+
+
+def test_the_inductive_antipode_admits_ten_parts():
+    # M_(4,6) counts 3^2 and M_((1,0)^10) 3^10 = 59,049; the weight model
+    # refused both
+    for comp in ([[4, 0], [6, 0]], _ones(10)):
+        payload = _payload(_qsym_elt(1, "M", (1, comp)))
+        code, out = _run("qsym", "antipode", "--route", "inductive",
+                         "--in", payload)
+        assert code == 0 and out == _run("qsym", "antipode", "--in",
+                                         payload)[1], comp
+
+
+def _accepts(bound, e):
+    try:
+        bound(e)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_inductive_bound_admits_all_the_weight_model_did():
+    # single keys to weight 12 at m=1 and 8 at m=2, and pairs of distinct
+    # m=2 keys to weight 4 each
+    keys = {m: [a for n in range(1, w + 1)
+                for a in cb.enumerate_compositions(m, n)]
+            for m, w in ((1, 12), (2, 8))}
+    elts = [qs.QElt(m, "M", {a: 1}) for m in keys for a in keys[m]]
+    small = [a for a in keys[2] if cb.weight(a) <= 4]
+    elts += [qs.QElt(2, "M", {a: 1, b: 1})
+             for i, a in enumerate(small) for b in small[i + 1:]]
+    old = [e for e in elts
+           if _accepts(reference_bound_inductive_antipode, e)]
+    assert 0 < len(old) < len(elts)
+    assert all(_accepts(cli._bound_inductive_antipode, e) for e in old)
 
 
 # --- the installed entry point --------------------------------------------

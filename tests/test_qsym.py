@@ -195,6 +195,16 @@ def test_product_matches_the_quasi_shuffle_route():
                     assert prod.terms == _quasi_shuffle(a, b), (a, b)
 
 
+def test_library_quasi_shuffle_matches_the_reference():
+    for m in (1, 2):
+        comps = list(_comps(m, 4))
+        for a in comps:
+            for b in comps:
+                if cb.weight(a) + cb.weight(b) <= 4:
+                    assert qs._quasi_shuffle(a, b) == _quasi_shuffle(a, b), \
+                        (a, b)
+
+
 def test_memoized_products_survive_callers_mutating_results():
     # two terms on the left, so a product accumulated into a shared
     # per-key map would show on the repeat
@@ -320,6 +330,16 @@ def test_antipode_closed_matches_inductive():
             e = _basis(m, "M", alpha)
             assert qs.antipode(e) == qs.antipode_inductive(e)
             assert qs.antipode_inductive_key(alpha, m) == qs.antipode(e)
+
+
+def test_antipode_closed_matches_inductive_to_weight_six():
+    # the inductive route multiplies in M by the quasi-shuffle, the closed
+    # route coarsens and reverses: no code in common past the keys
+    for m in (1, 2):
+        for alpha in _comps(m, 6):
+            e = _basis(m, "M", alpha)
+            assert qs.antipode_inductive_key(alpha, m) == qs.antipode(e), \
+                alpha
 
 
 def test_antipode_is_an_involution_here():
