@@ -24,7 +24,8 @@ from . import combinat as cb
 from . import oracle as oc
 from . import poset as ps
 from . import qsym as qs
-from .terms import coeff_from_json, coeff_to_json, comp_json, iadd, poset_json
+from .terms import (BASES, coeff_from_json, coeff_to_json, comp_json, iadd,
+                    poset_json)
 
 
 class ParseFailure(Exception):
@@ -221,16 +222,16 @@ def _pairs(obj, what):
     return tuple(out)
 
 
-def parse_comp(payload, args, key="comp", check=cb.check_comp):
+def parse_comp(payload, args, key="comp", perm=False):
     m = _payload_m(payload, args)
     _expect(key in payload, "payload needs a %r field" % key)
     word = _pairs(payload[key], key)
-    check(word, m)
+    (cb.check_perm if perm else cb.check_comp)(word, m)
     return m, word
 
 
 def parse_perm(payload, args, key="perm"):
-    return parse_comp(payload, args, key, cb.check_perm)
+    return parse_comp(payload, args, key, perm=True)
 
 
 def parse_poset(payload, args):
@@ -245,7 +246,7 @@ def parse_poset(payload, args):
 def parse_qsym(payload, args):
     m = _payload_m(payload, args)
     basis = payload.get("basis")
-    _expect(basis in qs.BASES, "basis must be one of %r" % (qs.BASES,))
+    _expect(basis in BASES, "basis must be one of %r" % (BASES,))
     raw = payload.get("terms", [])
     _expect(isinstance(raw, list), "terms must be a JSON array")
     terms = {}
@@ -484,11 +485,12 @@ def cmd_qsym(args):
 
 # --- char verb ------------------------------------------------------------
 
+# name -> (domain kind, one-color and all-color factories in characters)
 _CHAR_FAMILIES = {
-    "zetaQ": ("qsym", ch.zeta_qsym, ch.zeta_qsym_all),
-    "zetaP": ("poset", ch.zeta_poset, ch.zeta_poset_all),
-    "nuQ": ("qsym", ch.nu_qsym, ch.nu_qsym_all),
-    "nuP": ("poset", ch.nu_poset, ch.nu_poset_all),
+    "zetaQ": ("qsym", "zeta_qsym", "zeta_qsym_all"),
+    "zetaP": ("poset", "zeta_poset", "zeta_poset_all"),
+    "nuQ": ("qsym", "nu_qsym", "nu_qsym_all"),
+    "nuP": ("poset", "nu_poset", "nu_poset_all"),
 }
 
 
@@ -501,14 +503,14 @@ def _resolve_character(name, m):
         raise ParseFailure("unknown character %r" % name)
     kind, single, full = _CHAR_FAMILIES[base]
     if suffix == "":
-        return kind, full(m)
+        return kind, getattr(ch, full)(m)
     try:
         j = int(suffix)
     except ValueError:
         raise ParseFailure("character color must be an integer, got %r" % name)
     if not 0 <= j < m:
         raise ValueError("composition colors must lie in range(m)")
-    return kind, single(m, j)
+    return kind, getattr(ch, single)(m, j)
 
 
 def _char_argument(payload, args, kind, family, cuts):
@@ -548,7 +550,7 @@ def cmd_char(args):
         raise ParseFailure("unknown character family %r" % base)
     kind, single, _ = _CHAR_FAMILIES[base]
     kind, elt = _char_argument(payload, args, kind, base, True)
-    chars = [single(m, j) for j in range(m)]
+    chars = [getattr(ch, single)(m, j) for j in range(m)]
     return qsym_json(ch.universal_morphism(elt, chars))
 
 
@@ -651,7 +653,7 @@ _OPTIONS = {
     "--suite": dict(default=None),
     "--stats": dict(action="store_true",
                     help="add per-check seconds and memo cache statistics"),
-    "--basis": dict(choices=qs.BASES, default=None),
+    "--basis": dict(choices=BASES, default=None),
 }
 
 

@@ -38,11 +38,9 @@ cleaning them again.
 
 from functools import cache
 
-from .terms import iadd, iadd_scaled
+from .terms import BASES, iadd, iadd_scaled
 from . import combinat as cb
 from . import poset as ps
-
-BASES = ("M", "F", "K")
 
 
 class QElt:

@@ -1,5 +1,5 @@
-"""Sparse term maps with exact coefficients, and the JSON forms of
-coefficients, compositions and posets.
+"""Sparse term maps with exact coefficients, the letters of the QSym
+bases, and the JSON forms of coefficients, compositions and posets.
 
 Every algebra element in this package is a dict from a hashable basis
 key to a nonzero coefficient.  Coefficients are Python ints wherever
@@ -13,6 +13,8 @@ them behind a value-style interface.
 
 import re
 from fractions import Fraction
+
+BASES = ("M", "F", "K")   # monomial, fundamental and peak (qsym.QElt)
 
 _COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

@@ -176,7 +176,8 @@ def run_checks(specs, processes=None):
 def cache_stats(growth=None):
     """cache_info() of every functools cache in cqsym, by module.function,
     plus growth (run_checks' stats["caches"]) in hits, misses and
-    currsize."""
+    currsize.  vars() runs a layer that has not run yet, so every layer's
+    caches are listed whichever layers the suite read."""
     out = {}
     for mod_name, mod in sorted(sys.modules.items()):
         if mod_name.startswith("cqsym."):
