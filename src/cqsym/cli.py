@@ -37,10 +37,10 @@ def _expect(cond, msg):
         raise ParseFailure(msg)
 
 
-def _positive_m(m):
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return m
+def _positive(value, what):
+    if value < 1:
+        raise ValueError("%s must be >= 1" % what)
+    return value
 
 
 # Bounds on the exponential operations; larger inputs are a domain error.
@@ -207,7 +207,7 @@ def _payload_m(payload, args):
             "m must be an integer")
     if args.m is not None and "m" in payload and payload["m"] != args.m:
         raise ParseFailure("--m disagrees with the payload's m")
-    return _positive_m(m)
+    return _positive(m, "m")
 
 
 def _pairs(obj, what):
@@ -317,7 +317,7 @@ def tpoly_json(p):
 
 def _require_m(args):
     _expect(args.m is not None, "--m is required for this command")
-    return _positive_m(args.m)
+    return _positive(args.m, "m")
 
 
 def _level_size(m, n):
@@ -557,9 +557,7 @@ def cmd_char(args):
 # --- oracle verb ----------------------------------------------------------
 
 def cmd_oracle(args):
-    N = args.max_N
-    if N < 1:
-        raise ValueError("truncation level must be >= 1")
+    N = _positive(args.max_N, "truncation level")
     payload = _load(args)
     if args.op == "truncate":
         e = parse_qsym(payload, args)
@@ -588,6 +586,7 @@ def _bound_verify_grid(suite, m, max_n, max_N):
     else:
         _bound_poset_grid(m, max_n)
     if suite == "oracle-equivalence" and max_N is not None:
+        _positive(max_N, "truncation level")
         _bound_oracle_choices(max_N, [max_n])
 
 
@@ -598,7 +597,7 @@ def cmd_verify(args):
             % ", ".join(sorted(SUITES)))
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
-    m = _positive_m(args.m)
+    m = _positive(args.m, "m")
     _bound_verify_grid(name, m, args.max_n if args.max_n is not None
                        else DEFAULT_MAX_N[name], args.max_N)
     checks, run = run_checks(SUITES[name](m, args.max_n, args.max_N,

@@ -21,8 +21,8 @@ canonical masks, a picker of the colors in the first minimizing
 placement, and pickers of the canonical structure's automorphisms (()
 when the identity is the only one).  Pickers are itemgetters made once
 per index tuple and shared by every structure.  _canonicalize alone
-applies a form: it picks the colors, takes the least automorphism image
-and interns the result, for labeled input, ideal splits and unions.
+looks up and applies a form: it picks the colors, takes the least
+automorphism image and interns the result.
 
 The class grid is generated, not filtered.  The first n-1 positions of a
 canonical structure are a canonical structure: a smaller placement of
@@ -38,15 +38,15 @@ share (closure and below masks, cover pairs; values 1..n once per
 size), its canonical form, the ideal masks, the split plan and the
 table of linear extensions (each as an index order and its ascent
 mask), which persists for the process: n! entries on an n-element
-antichain.  A split plan is one canonical form per ideal side, its
-picker composed onto the side's indices, so no labeled side is built.
-A poset's two whole-poset sides are its own class; every other side is
-looked up in the _side_class memo by m, the colors in the side's first
-placement and its canonical masks, so the automorphism scan runs once
-per distinct side coloring, not once per side of every poset.  The
-_canonical_from memo serves labeled input only.  The splits are
-memoized on the instance as one flat tuple (I0, R0, I1, R1,
-...) of interned posets, which splits() pairs up as it iterates.
+antichain.  A split plan holds per ideal side its canonical masks and
+its first placement's picker, composed onto the side's indices, so no
+labeled side is built.  A poset's two whole-poset sides are its own
+class.  Every other side is looked up in the one class memo,
+_canonical_from, which also serves labeled input, by m, the colors in
+its first placement and its canonical masks, so the automorphism scan
+runs once per distinct side coloring.  The splits are memoized on the
+instance as one flat tuple (I0, R0, I1, R1, ...) of interned posets,
+which splits() pairs up as it iterates.
 Products and antipodes live in process-wide functools caches.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
@@ -143,16 +143,16 @@ def _ideal_masks(above):
 @cache
 def _split_plan(above):
     """The split sides of an order structure: the ideal and then its
-    complement, per ideal in _ideal_masks order.  A side is what
-    _struct_canon gives for its induced order, with the picker composed
-    so that it reads the side's colors from the whole poset's."""
+    complement, per ideal in _ideal_masks order.  A side is its induced
+    order's canonical masks and first-placement picker, composed to read
+    the side's colors from the whole poset's."""
     full = (1 << len(above)) - 1
     sides = []
     for mask in _ideal_masks(above):
         for side in (mask, full & ~mask):
             idxs, sub = _sub_above(above, side)
-            above_c, pick, auts = _struct_canon(sub)
-            sides.append((above_c, _shared_picker(pick(idxs)), auts))
+            above_c, pick, _ = _struct_canon(sub)
+            sides.append((above_c, _shared_picker(pick(idxs))))
     return tuple(sides)
 
 
@@ -279,8 +279,8 @@ class Poset:
             m, n, colors, whole = self.m, self.n, self.colors, self.canonical
             self._splits = tuple([
                 whole if len(above_c) == n
-                else _side_class(m, pick(colors), above_c)
-                for above_c, pick, _ in _split_plan(self.above)])
+                else _canonical_from(m, pick(colors), above_c)
+                for above_c, pick in _split_plan(self.above)])
         it = iter(self._splits)
         return zip(it, it)
 
@@ -380,8 +380,6 @@ def _struct_canon(above):
     minimizing placement, and shared pickers of the canonical structure's
     automorphisms, or () when the identity is the only one."""
     n = len(above)
-    if n == 0:
-        return ((), _shared_picker(()), ())
     below = _invert(above)
     comp = [above[i] | below[i] for i in range(n)]
     partials = [((), 0)]
@@ -459,27 +457,21 @@ def _intern_canonical(m, colors, above):
     return _Canonical(m, colors, above)
 
 
-def _canonicalize(m, colors, form):
-    """The interned representative of the poset with these colors on an
-    order whose canonical form is form, a triple as _struct_canon gives."""
-    above_c, pick, auts = form
+def _canonicalize(m, colors, above):
+    """The interned representative of the poset with these colors on the
+    order with closure masks above."""
+    above_c, pick, auts = _struct_canon(above)
     best = pick(colors)
     if auts:
         best = min(aut(best) for aut in auts)
     return _intern_canonical(m, best, above_c)
 
 
-def _class_of(m, colors, above):
-    return _canonicalize(m, colors, _struct_canon(above))
-
-
-# two memos of one map.  _canonical_from serves labeled input.
-# _side_class serves split sides, given by their canonical masks and the
-# colors read in their first minimizing placement: that placement is an
-# automorphism of the canonical structure, so it gives the same class.
+# the class memo, for labeled input and split sides.  A side comes as
+# its canonical masks and the colors in its first minimizing placement,
+# an automorphism of the canonical structure, so of the same class.
 # Unions canonicalize directly.
-_canonical_from = cache(_class_of)
-_side_class = cache(_class_of)
+_canonical_from = cache(_canonicalize)
 
 
 def canonical_form(P):
@@ -601,7 +593,7 @@ def _union(A, B):
     if A.m != B.m:
         raise ValueError("disjoint union requires the same number of colors")
     above = A.above + tuple(b << A.n for b in B.above)
-    return _canonicalize(A.m, A.colors + B.colors, _struct_canon(above))
+    return _canonicalize(A.m, A.colors + B.colors, above)
 
 
 class PElt:

@@ -180,11 +180,11 @@ def k_to_m_key(alpha, m):
     blocks combine multiplicatively and beta wears the block's color.
     The map is a fresh copy of a per-key memo, so callers may mutate it.
     """
-    return dict(_k_to_m_key(alpha, m))
+    return dict(_k_to_m_key(alpha))
 
 
 @cache
-def _k_to_m_key(alpha, m):
+def _k_to_m_key(alpha):
     block_opts = []
     for sizes, color in cb.rainbow_decompose(alpha):
         w = sum(sizes)
@@ -209,7 +209,7 @@ def k_to_m(e):
         raise ValueError("k_to_m expects a K-basis element")
     out = {}
     for alpha, c in e.terms.items():
-        iadd_scaled(out, _k_to_m_key(alpha, e.m), c)
+        iadd_scaled(out, _k_to_m_key(alpha), c)
     return _built(e.m, "M", out)
 
 
@@ -219,7 +219,7 @@ def peak_function(m, alpha):
     The defining sum makes sense whether or not alpha is a peak
     composition; K-tagged elements however only admit peak keys.
     """
-    return QElt(m, "M", _k_to_m_key(tuple(alpha), m))
+    return QElt(m, "M", _k_to_m_key(tuple(alpha)))
 
 
 def to_monomial(e):

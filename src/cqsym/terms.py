@@ -12,7 +12,6 @@ them behind a value-style interface.
 """
 
 import re
-from fractions import Fraction
 
 BASES = ("M", "F", "K")   # monomial, fundamental and peak (qsym.QElt)
 
@@ -42,6 +41,7 @@ def coeff_to_json(c):
     """ints stay ints; anything else becomes a 'p/q' string."""
     if isinstance(c, int):
         return c
+    from fractions import Fraction
     c = Fraction(c)
     if c.denominator == 1:
         return int(c)
@@ -55,6 +55,7 @@ def coeff_from_json(obj):
         return obj
     if not isinstance(obj, str) or not _COEFF.fullmatch(obj):
         raise ValueError("coefficient must be an integer or 'p/q' string")
+    from fractions import Fraction
     try:
         f = Fraction(obj)
     except ZeroDivisionError:

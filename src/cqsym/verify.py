@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+import types
 from bisect import bisect_right
 from collections import Counter
 
@@ -84,8 +85,8 @@ def _run_shard(specs, shard, k):
 
 
 def _memo_counts():
-    return Counter({(name, f): info[f] for name, info in cache_stats().items()
-                    for f in _GROWN})
+    return Counter({(name, f): info[f] for name, info
+                    in cache_stats(ran_only=True).items() for f in _GROWN})
 
 
 def _shard_child(conn, specs, shard, k):
@@ -173,16 +174,18 @@ def run_checks(specs, processes=None):
     return reports, {"processes": k, "caches": growth}
 
 
-def cache_stats(growth=None):
+def cache_stats(growth=None, ran_only=False):
     """cache_info() of every functools cache in cqsym, by module.function,
     plus growth (run_checks' stats["caches"]) in hits, misses and
-    currsize.  vars() runs a layer that has not run yet, so every layer's
-    caches are listed whichever layers the suite read."""
+    currsize.  Reading a layer that has not run, vars() too, runs it, so
+    all are listed; ran_only leaves those, whose caches are empty, unread."""
     out = {}
     for mod_name, mod in sorted(sys.modules.items()):
-        if mod_name.startswith("cqsym."):
+        if mod_name.startswith("cqsym.") and (
+                not ran_only or type(mod) is types.ModuleType):
             for name, fn in sorted(vars(mod).items()):
-                if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
+                if hasattr(type(fn), "cache_info") \
+                        and fn.__module__ == mod_name:
                     key = mod_name[6:] + "." + name
                     info = fn.cache_info()._asdict()
                     for f in _GROWN if growth else ():
@@ -438,9 +441,11 @@ def _suite_hopf_axioms(m, max_n, max_N, seed):
     ]
 
 
-def _morphism_suite(prefix, gf):
-    """Suite checking that gf is an algebra and a coalgebra morphism."""
+def _morphism_suite(prefix, gf_name):
+    """Suite checking that qsym's map gf_name, read when the suite is
+    built, is an algebra and a coalgebra morphism."""
     def suite(m, max_n, max_N, seed):
+        gf = getattr(qs, gf_name)
         max_n = _max_n(prefix + "-morphism", max_n)
         grid = _poset_grid(m, max_n)
         pairs = _SizePairs(grid, max_n, lambda P: P.n)
@@ -640,8 +645,8 @@ def _suite_dimension_counts(m, max_n, max_N, seed):
 
 SUITES = {
     "hopf-axioms": _suite_hopf_axioms,
-    "gamma-morphism": _morphism_suite("gamma", qs.ppartition_gf),
-    "lambda-morphism": _morphism_suite("lambda", qs.enriched_gf),
+    "gamma-morphism": _morphism_suite("gamma", "ppartition_gf"),
+    "lambda-morphism": _morphism_suite("lambda", "enriched_gf"),
     "theta-morphism": _suite_theta_morphism,
     "antipode-consistency": _suite_antipode_consistency,
     "oracle-equivalence": _suite_oracle_equivalence,

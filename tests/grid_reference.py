@@ -24,9 +24,8 @@ def reference_closed_masks(rel):
 def reference_canonical_posets(m, n):
     out = []
     for above in ps.labeled_orders(n):
-        form = ps._struct_canon(above)
-        if form[0] == above:
-            out.extend({ps._canonicalize(m, colors, form)
+        if ps._struct_canon(above)[0] == above:
+            out.extend({ps._canonicalize(m, colors, above)
                         for colors in product(range(m), repeat=n)})
     out.sort(key=ps.Poset.sort_key)
     return tuple(out)

@@ -1,10 +1,10 @@
 """The ideal splits as first computed, kept as a test reference.
 
-Each side of each ideal goes through the labeled-input memo
-_canonical_from, with the side's colors and the closure masks of its
-induced order.  The library reads each side's canonical colors from the
-split plan straight into the intern table; both must give the same
-interned posets in the same order.
+Each side of each ideal is built as a labeled subposet, its colors and
+the closure masks of its induced order, and canonicalized from them.
+The library reads each side's first-placement colors and canonical
+masks from the split plan, so no labeled side is built; both must give
+the same interned posets in the same order.
 """
 
 from cqsym import poset as ps

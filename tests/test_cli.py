@@ -318,14 +318,14 @@ def test_verify_stats_show_the_shared_pickers():
 
 
 def test_verify_stats_show_the_split_side_memo():
-    ps._side_class.cache_clear()
+    ps._canonical_from.cache_clear()
     for n in range(4):
         for P in ps.canonical_posets(1, n):
             P._splits = None
     code, out = _run("verify", "--suite", "hopf-axioms", "--m", "1",
                      "--max-n", "3", "--stats")
     assert code == 0
-    info = out["stats"]["caches"]["poset._side_class"]
+    info = out["stats"]["caches"]["poset._canonical_from"]
     assert info["currsize"] > 0 and info["hits"] > 0
 
 
@@ -590,6 +590,20 @@ def test_unbounded_grids_are_refused_at_once():
         code, out = _run(*argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 3 and out["error"]["type"] == "domain", argv
+
+
+@pytest.mark.parametrize("max_N", ["0", "-3"])
+def test_verify_refuses_a_truncation_level_below_one_before_the_grid(
+        max_N, monkeypatch):
+    def no_grid(m, n):
+        raise AssertionError("the poset grid was built")
+
+    monkeypatch.setattr(ps, "canonical_posets", no_grid)
+    code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
+                     "--max-N", max_N)
+    assert code == 3
+    assert out == {"error": {"type": "domain",
+                             "invariant": "truncation level must be >= 1"}}
 
 
 def test_grid_bounds_admit_their_limits():

@@ -62,12 +62,37 @@ QSYM = '{"m":1,"basis":"F","terms":[{"comp":[[2,0]],"coeff":1}]}'
     (["qsym", "lambda", "--in", POSET], ["combinat", "poset", "qsym"]),
     (["oracle", "ppartitions", "--in", POSET], ["poset", "oracle"]),
     (["oracle", "split-check", "--in", POSET], ["poset", "oracle"]),
+    (["verify", "--suite", "dimension-counts", "--m", "1"], ["combinat"]),
 ])
 def test_a_call_runs_only_the_layers_its_verb_reads(argv, layers):
     code = ("import contextlib, io\nimport cqsym.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(%r) == 0\n" % (argv,))
     assert _loaded_after(code) == layers
+
+
+def test_counting_the_memos_runs_no_layer():
+    # forked verify shards count the memos before and after their cases
+    code = """
+import cqsym.verify as verify
+assert not verify._memo_counts()
+import cqsym.poset as ps
+ps.canonical_posets(1, 2)
+counts = verify._memo_counts()
+assert counts["poset._canonical_posets", "misses"] == 1, counts
+"""
+    assert _loaded_after(code) == ["poset"]
+
+
+def test_a_call_with_integer_coefficients_imports_no_fractions():
+    code = ("import contextlib, io, sys\nimport cqsym.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(%r) == 0\n"
+            "    assert cli.main(%r) == 0\n"
+            "print('fractions' in sys.modules)"
+            % (["comp", "hat", "--in", '{"m":2,"comp":[[2,0],[1,1]]}'],
+               ["poset", "antipode", "--in", POSET]))
+    assert _python(code) == ["False"]
 
 
 def test_four_threads_first_touching_a_layer_all_succeed():

@@ -288,21 +288,22 @@ def test_splits_match_the_labeled_canonicalization(m, max_n):
         assert_splits_match_reference(P)
 
 
-def test_splits_and_unions_bypass_the_labeled_memo():
+def test_unions_bypass_the_class_memo():
     grid = _grid(2, 4)
-    ps._canonical_from.cache_clear()
-    ps._union.cache_clear()
     for P in grid:
         P._splits = None
+        P.splits()
+    ps._union.cache_clear()
+    before = ps._canonical_from.cache_info().currsize
+    for P in grid:
         for I, R in P.splits():
             ps.product_key(R, I)
     assert ps._union.cache_info().currsize > 0
-    assert ps._canonical_from.cache_info().currsize == 0
+    assert ps._canonical_from.cache_info().currsize == before
 
 
 def test_split_sides_come_from_one_memo_without_the_whole_poset():
     grid = _grid(2, 4)
-    ps._side_class.cache_clear()
     ps._canonical_from.cache_clear()
     for P in grid:
         P._splits = None
@@ -310,15 +311,14 @@ def test_split_sides_come_from_one_memo_without_the_whole_poset():
     # the memo's keys are exactly the proper sides' first-placement
     # colorings: none has the whole poset's size, none repeats
     keys = {(P.m, pick(P.colors), above_c) for P in grid
-            for above_c, pick, _ in ps._split_plan(P.above)
+            for above_c, pick in ps._split_plan(P.above)
             if len(above_c) < P.n}
     assert max(len(above_c) for _, _, above_c in keys) == 3
-    assert ps._side_class.cache_info().currsize == len(keys)
-    by_class = {(ps._side_class(*key), key[1]) for key in keys}
+    assert ps._canonical_from.cache_info().currsize == len(keys)
+    by_class = {(ps._canonical_from(*key), key[1]) for key in keys}
     assert len(by_class) == len(keys)
     assert all(X.above == key[2] for key in keys
-               for X in [ps._side_class(*key)])
-    assert ps._canonical_from.cache_info().currsize == 0
+               for X in [ps._canonical_from(*key)])
 
 
 def test_the_whole_poset_sides_are_its_own_class():
@@ -335,8 +335,8 @@ def test_equal_index_tuples_give_one_picker():
     # a picker applied to 0..n-1 gives back its index tuple
     pickers = {}
     for P in _grid(1, 5):
-        for _, pick, auts in ps._split_plan(P.above):
-            for f in (pick,) + auts:
+        for above_c, pick in ps._split_plan(P.above):
+            for f in (pick,) + ps._struct_canon(above_c)[2]:
                 idxs = f(tuple(range(P.n)))
                 pickers.setdefault(idxs, set()).add(id(f))
     assert len(pickers) > 1
