@@ -56,6 +56,8 @@ MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
 MAX_SHUFFLE_LETTERS = 1 << 20  # letters of the words that perm shuffle and
                                # qsym product build
 MAX_DIMS_DIGITS = 1000    # digits of a dims entry; str() refuses past 4300
+MAX_CHAR_COLORS = 256     # an all-color character nests one convolution per
+                          # color, and psi builds one character per color
 
 
 def _at_most(size, limit, what):
@@ -94,8 +96,8 @@ def _bound_oracle_choices(N, sizes):
              "oracle choices (2N)^n")
 
 
-def _bound_rewrite(e, target):
-    """Refuse e if rewriting it in basis target ("M" or "F") is too large.
+def _rewrite(e, target):
+    """e in basis target ("M" or "F"), refused if the rewrite is too large.
 
     Counted before converting, per key of weight w and length l: an F key
     in M, or an M key in F, has 2^(w-l) refinements; a K key over b
@@ -113,6 +115,7 @@ def _bound_rewrite(e, target):
         else:
             size += 1
     _at_most(size, MAX_EXPANSION, "terms in the %s expansion" % target)
+    return qs.to_monomial(e) if target == "M" else qs.to_fundamental(e)
 
 
 def _bound_coarsenings(e):
@@ -184,19 +187,25 @@ def _bound_inductive_antipode(e):
 def _load(args):
     raw = args.infile
     _expect(raw is not None, "--in is required for this command")
-    if raw == "-":
-        raw = sys.stdin.read()
-    elif not raw.lstrip().startswith(("{", "[")):
-        try:
-            with open(raw) as fh:
+    try:
+        if raw == "-":
+            raw = sys.stdin.read()
+        elif not raw.lstrip().startswith(("{", "[")):
+            with open(raw, encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise ParseFailure("cannot read %s: %s" % (args.infile, exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseFailure("cannot read %s: %s" % (args.infile, exc))
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseFailure("invalid JSON at line %d column %d: %s"
                            % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise ParseFailure("invalid JSON: arrays and objects nest too deeply")
+    except ValueError:
+        # int() refuses a literal past the interpreter's digit limit
+        raise ParseFailure("invalid JSON: integer literals must have at most "
+                           "%d digits" % sys.get_int_max_str_digits())
 
 
 def _payload_m(payload, args):
@@ -339,15 +348,10 @@ def cmd_comp(args):
     if op == "check":
         return {"m": m, "weight": cb.weight(alpha), "length": len(alpha),
                 "peak": cb.is_peak_composition(alpha)}
-    if op == "star":
-        return {"m": m, "comp": comp_json(cb.star(alpha))}
-    if op == "hat":
-        return {"m": m, "comp": comp_json(cb.hat(alpha))}
-    if op == "conjugate":
-        _bound_chains([alpha])
-        return {"m": m, "comp": comp_json(cb.conjugate(alpha))}
-    if op == "reverse":
-        return {"m": m, "comp": comp_json(cb.reverse(alpha))}
+    if op in ("star", "hat", "conjugate", "reverse"):
+        if op == "conjugate":
+            _bound_chains([alpha])
+        return {"m": m, "comp": comp_json(getattr(cb, op)(alpha))}
     if op == "rainbow":
         return {"m": m,
                 "blocks": [{"sizes": list(sizes), "color": color}
@@ -437,9 +441,7 @@ def cmd_qsym(args):
         first = parse_qsym(_sub_payload(payload, "first"), args)
         second = parse_qsym(_sub_payload(payload, "second"), args)
         if first.basis != "K" or second.basis != "K":
-            _bound_rewrite(first, "F")
-            _bound_rewrite(second, "F")
-            first, second = qs.to_fundamental(first), qs.to_fundamental(second)
+            first, second = _rewrite(first, "F"), _rewrite(second, "F")
         _bound_shuffles(first, second)
         return qsym_json(qs.multiply(first, second))
     if op in ("gamma", "lambda"):
@@ -452,14 +454,10 @@ def cmd_qsym(args):
         _expect(target is not None, "--basis selects the target basis")
         if target == e.basis:
             return qsym_json(e)
-        if target != "K":
-            _bound_rewrite(e, target)
-        if target == "M":
-            return qsym_json(qs.to_monomial(e))
-        if target == "F":
-            return qsym_json(qs.to_fundamental(e))
-        raise ValueError("no conversion into the K basis; K spans only the "
-                         "peak subalgebra")
+        if target == "K":
+            raise ValueError("no conversion into the K basis; K spans only "
+                             "the peak subalgebra")
+        return qsym_json(_rewrite(e, target))
     if op == "coproduct":
         if e.basis == "M":
             _bound_deconcats(e.terms)
@@ -468,8 +466,7 @@ def cmd_qsym(args):
         return qsym_tensor_json(e.m, e.basis, qs.coproduct(e))
     if op == "antipode":
         if args.route == "inductive":
-            _bound_rewrite(e, "M")
-            e = qs.to_monomial(e)
+            e = _rewrite(e, "M")
             _bound_inductive_antipode(e)
             return qsym_json(qs.antipode_inductive(e))
         if e.basis == "M":
@@ -479,13 +476,12 @@ def cmd_qsym(args):
         return qsym_json(qs.antipode(e))
     if op == "counit":
         return {"m": e.m, "value": coeff_to_json(qs.counit(e))}
-    _bound_rewrite(e, "F")
-    return qsym_json(qs.peak_projection(qs.to_fundamental(e)))
+    return qsym_json(qs.peak_projection(_rewrite(e, "F")))
 
 
 # --- char verb ------------------------------------------------------------
 
-# name -> (domain kind, one-color and all-color factories in characters)
+# family -> (domain kind, one-color and all-color factories in characters)
 _CHAR_FAMILIES = {
     "zetaQ": ("qsym", "zeta_qsym", "zeta_qsym_all"),
     "zetaP": ("poset", "zeta_poset", "zeta_poset_all"),
@@ -494,64 +490,59 @@ _CHAR_FAMILIES = {
 }
 
 
-def _resolve_character(name, m):
-    """A built-in character by CLI name; returns (kind, character)."""
-    if name == "counit":
-        return "either", None
-    base, _, suffix = name.partition(":")
-    if base not in _CHAR_FAMILIES:
-        raise ParseFailure("unknown character %r" % name)
-    kind, single, full = _CHAR_FAMILIES[base]
-    if suffix == "":
-        return kind, getattr(ch, full)(m)
-    try:
-        j = int(suffix)
-    except ValueError:
-        raise ParseFailure("character color must be an integer, got %r" % name)
-    if not 0 <= j < m:
-        raise ValueError("composition colors must lie in range(m)")
-    return kind, getattr(ch, single)(m, j)
-
-
-def _char_argument(payload, args, kind, family, cuts):
-    """Build the Hopf element a character consumes, sniffing the payload.
-    A qsym payload is bounded as the character reads it: in M, for nuQ
-    through the coarsenings of its M keys, and nested over their cuts
-    when cuts is true (Psi and the convolved characters)."""
-    if kind == "either":
-        kind = "qsym" if "basis" in payload else "poset"
-    if kind == "qsym":
-        e = parse_qsym(payload, args)
-        _bound_rewrite(e, "M")
-        monomial = qs.to_monomial(e)
-        if family == "nuQ":
-            _bound_coarsenings(monomial)
-        if cuts:
-            _bound_deconcats(monomial.terms, nested=True)
-        return kind, e
-    return kind, ps.PElt.basis(parse_poset(payload, args).canonical)
-
-
 def cmd_char(args):
+    """char eval NAME evaluates one character on the payload; char psi
+    FAMILY applies the morphism into QSym that the family's one-color
+    characters induce.
+
+    NAME is counit, a family (the convolution of its characters over all
+    colors) or family:j (its character of color j), resolved before the
+    payload body is read.  A qsym payload is rewritten into M once and
+    bounded as the characters read it: the nu characters through the
+    coarsenings of its keys (they read the antipode), and Psi and the
+    convolutions (every nu, and a family over more than one color)
+    nested over their cuts.
+    """
     payload = _load(args)
     m = _payload_m(payload, args)
-    if args.op == "eval":
-        kind, phi = _resolve_character(args.name, m)
-        # nuQ, and zetaQ over more than one color, are convolutions
-        family = args.name.partition(":")[0]
-        cuts = family == "nuQ" or (args.name == "zetaQ" and m > 1)
-        kind, elt = _char_argument(payload, args, kind, family, cuts)
-        if phi is None:
-            dom = ch.qsym_domain(m) if kind == "qsym" else ch.poset_domain(m)
-            phi = ch.counit_character(dom)
-        return {"name": phi.name, "m": m, "value": coeff_to_json(phi(elt))}
-    base = args.name
-    if base not in _CHAR_FAMILIES:
-        raise ParseFailure("unknown character family %r" % base)
-    kind, single, _ = _CHAR_FAMILIES[base]
-    kind, elt = _char_argument(payload, args, kind, base, True)
-    chars = [getattr(ch, single)(m, j) for j in range(m)]
-    return qsym_json(ch.universal_morphism(elt, chars))
+    name, psi = args.name, args.op == "psi"
+    family, colon, suffix = name.partition(":")
+    if name == "counit" and not psi:
+        kind = "qsym" if "basis" in payload else "poset"
+        dom = ch.qsym_domain(m) if kind == "qsym" else ch.poset_domain(m)
+        chars = [ch.counit_character(dom)]
+        coarsenings = cuts = False
+    else:
+        _expect(family in _CHAR_FAMILIES and not (psi and colon),
+                "unknown character %s%r" % ("family " if psi else "", name))
+        kind, single, full = _CHAR_FAMILIES[family]
+        if colon:
+            try:
+                j = int(suffix)
+            except ValueError:
+                raise ParseFailure("character color must be an integer, "
+                                   "got %r" % name)
+            if not 0 <= j < m:
+                raise ValueError("composition colors must lie in range(m)")
+            chars = [getattr(ch, single)(m, j)]
+        else:
+            _at_most(m, MAX_CHAR_COLORS, "colors of an all-color character")
+            chars = ([getattr(ch, single)(m, j) for j in range(m)] if psi
+                     else [getattr(ch, full)(m)])
+        coarsenings = family.startswith("nu")
+        cuts = psi or coarsenings or (not colon and m > 1)
+    if kind == "qsym":
+        elt = _rewrite(parse_qsym(payload, args), "M")
+        if coarsenings:
+            _bound_coarsenings(elt)
+        if cuts:
+            _bound_deconcats(elt.terms, nested=True)
+    else:
+        elt = ps.PElt.basis(parse_poset(payload, args).canonical)
+    if psi:
+        return qsym_json(ch.universal_morphism(elt, chars))
+    phi, = chars
+    return {"name": phi.name, "m": m, "value": coeff_to_json(phi(elt))}
 
 
 # --- oracle verb ----------------------------------------------------------
@@ -560,9 +551,7 @@ def cmd_oracle(args):
     N = _positive(args.max_N, "truncation level")
     payload = _load(args)
     if args.op == "truncate":
-        e = parse_qsym(payload, args)
-        _bound_rewrite(e, "M")
-        e = qs.to_monomial(e)
+        e = _rewrite(parse_qsym(payload, args), "M")
         _bound_oracle_choices(N, map(len, e.terms))
         return tpoly_json(oc.truncate(e, N))
     P = parse_poset(payload, args)

@@ -255,6 +255,46 @@ def test_char_psi_matches_gamma():
     assert psi == gamma_m
 
 
+@pytest.mark.parametrize("op, name, detail", [
+    ("eval", "zetaX", "unknown character 'zetaX'"),
+    ("eval", "zetaQ:x", "character color must be an integer, got 'zetaQ:x'"),
+    ("eval", "zetaQ:", "character color must be an integer, got 'zetaQ:'"),
+    ("psi", "zetaQ:0", "unknown character family 'zetaQ:0'"),
+    ("psi", "counit", "unknown character family 'counit'"),
+])
+def test_char_names_outside_the_table_are_parse_errors(op, name, detail):
+    code, out = _run("char", op, name, "--in",
+                     _payload(_qsym_elt(2, "M", (1, [[1, 0]]))))
+    assert code == 2
+    assert out == {"error": {"type": "parse", "detail": detail}}
+
+
+def test_char_color_is_checked_before_the_payload_body():
+    code, out = _run("char", "eval", "zetaQ:5", "--m", "2", "--in",
+                     '{"basis": "X", "terms": 7}')
+    assert code == 3
+    assert out == {"error": {"type": "domain", "invariant":
+                             "composition colors must lie in range(m)"}}
+
+
+def test_char_counit_reads_either_payload():
+    code, out = _run("char", "eval", "counit", "--in", _payload(
+        _qsym_elt(2, "F", (3, []), (1, [[1, 0]]))))
+    assert code == 0 and out == {"name": "counit", "m": 2, "value": 3}
+    code, out = _run("char", "eval", "counit", "--in",
+                     _payload({"m": 2, "elements": []}))
+    assert code == 0 and out == {"name": "counit", "m": 2, "value": 1}
+
+
+def test_char_rewrites_an_f_payload_into_m_once(monkeypatch):
+    calls = []
+    f_to_m = qs.f_to_m
+    monkeypatch.setattr(qs, "f_to_m", lambda e: calls.append(e) or f_to_m(e))
+    code, out = _run("char", "eval", "nuQ", "--in",
+                     _payload(_qsym_elt(2, "F", (1, [[2, 0], [1, 1]]))))
+    assert code == 0 and len(calls) == 1
+
+
 # --- oracle verb ----------------------------------------------------------
 
 def test_oracle_enumeration_round_trip():
@@ -376,6 +416,31 @@ def test_invalid_json_exits_2():
     assert "detail" in out["error"]
 
 
+def test_a_payload_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": 1, "comp": [[1, 0]], "note": "caf\xe9"}')
+    code, out = _run("comp", "hat", "--in", str(path))
+    assert code == 2 and out["error"]["type"] == "parse"
+    assert out["error"]["detail"].startswith("cannot read %s: " % path)
+
+
+def test_json_nested_past_the_recursion_limit_exits_2():
+    code, out = _run("comp", "hat", "--in", "[" * 100000)
+    assert code == 2
+    assert out == {"error": {"type": "parse", "detail":
+                             "invalid JSON: arrays and objects nest too "
+                             "deeply"}}
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2():
+    code, out = _run("comp", "hat", "--in",
+                     '{"m": 1, "comp": [[%s, 0]]}' % ("9" * 5000))
+    assert code == 2
+    assert out == {"error": {"type": "parse", "detail":
+                             "invalid JSON: integer literals must have at "
+                             "most %d digits" % sys.get_int_max_str_digits()}}
+
+
 def test_missing_field_exits_2():
     code, out = _run("comp", "hat", "--in", _payload({"m": 1}))
     assert code == 2
@@ -455,6 +520,7 @@ def test_argument_errors_exit_2_with_json(argv, capsys):
 _NINE = {"m": 1, "elements": [[v, 0] for v in range(1, 10)]}
 _EIGHT = {"m": 1, "elements": [[v, 0] for v in range(1, 9)]}
 _FIVE = {"m": 1, "elements": [[v, 0] for v in range(1, 6)]}
+_TWO_COLORED = {"elements": [[1, 0], [2, 1], [3, 0]], "covers": [[1, 2]]}
 _ELEVEN_PARTS = {"m": 1, "basis": "M",
                  "terms": [{"coeff": 1, "comp": [[1, 0]] * 11}]}
 
@@ -578,6 +644,13 @@ def test_bounds_admit_their_limits():
     # C(18, 9) = 48,620 shuffles of 9 + 9 letters
     code, out = _run("perm", "shuffle", "--in", _payload(_shuffle_pair(9, 9)))
     assert code == 0 and len(out["perms"]) == 48620
+    # 256 colors: one convolution per color, or one character per color
+    code, out = _run("char", "eval", "zetaP", "--m", "256", "--in",
+                     _payload(_TWO_COLORED))
+    assert code == 0 and out == {"name": "zetaP", "m": 256, "value": 1}
+    code, out = _run("char", "psi", "nuQ", "--in",
+                     _payload(_qsym_elt(256, "M", (1, [[1, 255]]))))
+    assert code == 0 and out["terms"] == [{"coeff": 2, "comp": [[1, 255]]}]
 
 
 def test_unbounded_grids_are_refused_at_once():
@@ -634,6 +707,7 @@ _NEGATIVE = "--max-n must be >= 0"
 _M_CUTS = "parts over the cuts of the M keys must be <= 65536"
 _LETTERS = "shuffled letters must be <= 1048576"
 _ORACLE_CHOICES = "oracle choices (2N)^n must be <= 1048576"
+_CHAR_COLORS = "colors of an all-color character must be <= 256"
 
 
 def _m_one(coeff):
@@ -714,6 +788,10 @@ def _alternating(k):
      3, _M_CUTS),
     (("char", "eval", "zetaQ", "--m", "2", "--in", _alternating(8000)),
      3, _M_CUTS),
+    (("char", "eval", "zetaP", "--m", "600", "--in", _payload(_TWO_COLORED)),
+     3, _CHAR_COLORS),
+    (("char", "psi", "nuQ", "--in",
+      _payload(_qsym_elt(10 ** 30, "M", (1, [[1, 0]])))), 3, _CHAR_COLORS),
 ], ids=["exponent-coeff", "huge-exponent-coeff", "unprintable-result",
         "antipode-22-parts", "antipode-30-parts", "zeta-of-F40",
         "nu-30-parts", "nu-single-color", "psi-nu", "rep-chain",
@@ -724,7 +802,8 @@ def _alternating(k):
         "shuffle-letters", "product-letters", "product-long-chain",
         "psi-zeta-58-parts", "psi-zeta-600-parts", "psi-zeta-1000-parts",
         "psi-nu-alternating", "nu-alternating", "nu-single-color-58-parts",
-        "zeta-convolved-58-parts", "zeta-convolved-8000-parts"])
+        "zeta-convolved-58-parts", "zeta-convolved-8000-parts",
+        "zeta-poset-600-colors", "psi-nu-huge-m"])
 def test_unbounded_inputs_answer_at_once(argv, code, detail, capsys):
     start = time.perf_counter()
     got = cli.main(list(argv))
@@ -1053,4 +1132,33 @@ def test_smoke_valid_and_malformed(pair, capsys):
     out, err = capsys.readouterr()
     assert code in (2, 3), out
     assert set(json.loads(out)) == {"error"}
+    assert "Traceback" not in err
+
+
+def _with_m(tail, m):
+    """The argv tail with --m, and the m of the --in payload and of its
+    operands, set to m."""
+    tail = list(tail)
+    for i, arg in enumerate(tail[:-1]):
+        if arg == "--m":
+            tail[i + 1] = str(m)
+        elif arg == "--in":
+            payload = json.loads(tail[i + 1])
+            for obj in [payload, *payload.values()]:
+                if isinstance(obj, dict) and "m" in obj:
+                    obj["m"] = m
+            tail[i + 1] = _payload(payload)
+    return tail
+
+
+@pytest.mark.parametrize("m", [600, 10 ** 30], ids=["m600", "m1e30"])
+@pytest.mark.parametrize("pair", sorted(SMOKE, key=str), ids=str)
+def test_smoke_calls_answer_at_once_in_many_colors(pair, m, capsys):
+    verb, op = pair
+    head = [verb] + ([op] if op else [])
+    start = time.perf_counter()
+    code = cli.main(head + _with_m(SMOKE[pair][0], m))
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1, 2, 3), out
     assert "Traceback" not in err

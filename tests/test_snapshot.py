@@ -1,10 +1,11 @@
 """Byte-level snapshots of outputs that refactors must leave unchanged.
 
 The digests pin the exact JSON of every `cqsym verify` suite on a small
-grid and the canonical representatives of every colored poset class up
-to five elements in one or two colors and four in three, so a change to
-term order, representative choice or report layout shows up here even
-when every identity still holds.
+grid, the canonical representatives of every colored poset class up to
+five elements in one or two colors and four in three, and the stdout and
+exit code of every call in the CLI smoke matrix, so a change to term
+order, representative choice, report layout or an error message shows
+up here even when every identity still holds.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from contextlib import redirect_stdout
 
 from cqsym import cli
 from cqsym import poset as ps
+from test_cli import SMOKE
 
 
 def _sha(text):
@@ -57,6 +59,9 @@ CANONICAL_SHA256 = {
     (3, 4): "c8a21cfdbff8f1d1cfa8762bd5f5bd2c7fb682d0f313d809c61cda5467f431c3",
 }
 
+# the valid then the malformed call of each SMOKE pair, in sorted order
+SMOKE_SHA256 = "22b8042fbb6a2855f6332915c8e687680de045c3deee023509b736ab2c3000f3"
+
 
 def test_verify_reports_unchanged():
     got = {}
@@ -75,3 +80,15 @@ def test_canonical_representatives_unchanged():
                                     for P in ps.canonical_posets(m, n)]))
            for m, n in CANONICAL_SHA256}
     assert got == CANONICAL_SHA256
+
+
+def test_cli_smoke_answers_unchanged():
+    digest = hashlib.sha256()
+    for verb, op in sorted(SMOKE, key=str):
+        head = [verb] + ([op] if op else [])
+        for tail in SMOKE[verb, op]:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.main(head + tail)
+            digest.update(("%d\n" % code + buf.getvalue()).encode())
+    assert digest.hexdigest() == SMOKE_SHA256
