@@ -18,8 +18,9 @@ one package-level lock is held while a layer runs, the thread running it
 reads the partial module as an import would, and the other threads wait.
 So a CLI call that reads only compositions compiles only combinat.  The
 names re-exported here (``Poset``, ``multiply``, ``qsym_antipode``, ...)
-are bound on the first read of any of them, or of the package's
-``__dict__`` (``vars``, ``dir``, ``import *``), which runs every layer.
+are read from their layer on each access, through the module
+``__getattr__`` (PEP 562), so reading one runs its own layer alone.  They
+are listed in ``__all__`` and ``dir()``; ``import *`` runs every layer.
 """
 
 import sys as _sys
@@ -65,6 +66,21 @@ _LAYER_EXPORTS = {
 _EXPORTS = {entry.partition(":")[0]: (layer, entry.rpartition(":")[2])
             for layer, entries in _LAYER_EXPORTS.items()
             for entry in entries.split()}
+__all__ = [*_EXPORTS, *_LAYER_EXPORTS, "terms"]
+
+
+def __getattr__(name):
+    """A re-exported name, read from its layer on every access."""
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    layer, attr = _EXPORTS[name]
+    return getattr(globals()[layer], attr)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 _lock = _threading.RLock()
 _running = set()   # layers whose code is running, read by their own thread
@@ -100,33 +116,7 @@ class _Layer(_types.ModuleType):
         _types.ModuleType.__delattr__(self, name)
 
 
-def _bind_exports(package):
-    """Run every layer and bind the re-exported names on the package."""
-    with _lock:
-        if type(package) is not _Package:
-            return
-        for name, (layer, attr) in _EXPORTS.items():
-            setattr(package, name, getattr(getattr(package, layer), attr))
-        object.__setattr__(package, "__class__", _types.ModuleType)
-
-
-class _Package(_types.ModuleType):
-    """The package until its re-exports are bound."""
-
-    def __getattribute__(self, name):
-        if name == "__dict__":
-            _bind_exports(self)
-        return _types.ModuleType.__getattribute__(self, name)
-
-    def __getattr__(self, name):
-        if name not in _EXPORTS:
-            raise AttributeError("module %r has no attribute %r"
-                                 % (__name__, name))
-        _bind_exports(self)
-        return _types.ModuleType.__getattribute__(self, name)
-
-
-def _register(package):
+def _register():
     folder = __path__[0]
     for layer in _LAYER_EXPORTS:
         name = __name__ + "." + layer
@@ -134,8 +124,7 @@ def _register(package):
             _spec_from_file(name, "%s/%s.py" % (folder, layer)))
         module.__class__ = _Layer
         _sys.modules[name] = module
-        setattr(package, layer, module)
-    package.__class__ = _Package
+        globals()[layer] = module
 
 
-_register(_sys.modules[__name__])
+_register()

@@ -16,6 +16,7 @@ so each handler answers its last op without testing for it.
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 
@@ -84,6 +85,7 @@ def _bound_levels(m, max_n):
 
 
 def _bound_poset_grid(m, max_n):
+    _at_most(m, MAX_COUNT_M_PLUS_N, "m")
     _nonnegative_max_n(max_n)
     _at_most(max_n, MAX_COUNT_M_PLUS_N - m, "--max-n")
 
@@ -189,7 +191,7 @@ def _load(args):
     _expect(raw is not None, "--in is required for this command")
     try:
         if raw == "-":
-            raw = sys.stdin.read()
+            raw = sys.stdin.buffer.read().decode("utf-8")
         elif not raw.lstrip().startswith(("{", "[")):
             with open(raw, encoding="utf-8") as fh:
                 raw = fh.read()
@@ -518,8 +520,10 @@ def cmd_char(args):
         kind, single, full = _CHAR_FAMILIES[family]
         if colon:
             try:
-                j = int(suffix)
-            except ValueError:
+                # ASCII digits only: int() also reads spaces, underscores
+                # and the digits of other scripts
+                j = int(re.fullmatch("-?[0-9]+", suffix)[0])
+            except (TypeError, ValueError):
                 raise ParseFailure("character color must be an integer, "
                                    "got %r" % name)
             if not 0 <= j < m:

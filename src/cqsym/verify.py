@@ -86,7 +86,7 @@ def _run_shard(specs, shard, k):
 
 def _memo_counts():
     return Counter({(name, f): info[f] for name, info
-                    in cache_stats(ran_only=True).items() for f in _GROWN})
+                    in cache_stats().items() for f in _GROWN})
 
 
 def _shard_child(conn, specs, shard, k):
@@ -174,15 +174,17 @@ def run_checks(specs, processes=None):
     return reports, {"processes": k, "caches": growth}
 
 
-def cache_stats(growth=None, ran_only=False):
-    """cache_info() of every functools cache in cqsym, by module.function,
-    plus growth (run_checks' stats["caches"]) in hits, misses and
-    currsize.  Reading a layer that has not run, vars() too, runs it, so
-    all are listed; ran_only leaves those, whose caches are empty, unread."""
+def cache_stats(growth=None):
+    """cache_info() of every functools cache in the cqsym modules that have
+    run, by module.function, plus growth (run_checks' stats["caches"]) in
+    hits, misses and currsize.  A layer that has not run here, whose caches
+    are empty, is left unread unless growth names it: a forked shard ran
+    it."""
+    shards_ran = {key.partition(".")[0] for key, _ in growth or ()}
     out = {}
     for mod_name, mod in sorted(sys.modules.items()):
         if mod_name.startswith("cqsym.") and (
-                not ran_only or type(mod) is types.ModuleType):
+                type(mod) is types.ModuleType or mod_name[6:] in shards_ran):
             for name, fn in sorted(vars(mod).items()):
                 if hasattr(type(fn), "cache_info") \
                         and fn.__module__ == mod_name:

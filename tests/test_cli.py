@@ -259,6 +259,12 @@ def test_char_psi_matches_gamma():
     ("eval", "zetaX", "unknown character 'zetaX'"),
     ("eval", "zetaQ:x", "character color must be an integer, got 'zetaQ:x'"),
     ("eval", "zetaQ:", "character color must be an integer, got 'zetaQ:'"),
+    ("eval", "zetaQ: 0",
+     "character color must be an integer, got 'zetaQ: 0'"),
+    ("eval", "zetaQ:\u0660",
+     "character color must be an integer, got 'zetaQ:\u0660'"),
+    ("eval", "zetaQ:1_0",
+     "character color must be an integer, got 'zetaQ:1_0'"),
     ("psi", "zetaQ:0", "unknown character family 'zetaQ:0'"),
     ("psi", "counit", "unknown character family 'counit'"),
 ])
@@ -592,6 +598,8 @@ def _shuffle_pair(a, b):
      "--max-n must be <= 4"),
     (("verify", "--suite", "oracle-equivalence", "--m", "1", "--max-n", "4",
       "--max-N", "20"), "oracle choices (2N)^n must be <= 1048576"),
+    (("poset", "count", "--m", "600"), "m must be <= 7"),
+    (("verify", "--suite", "hopf-axioms", "--m", "9"), "m must be <= 7"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
         "product-size", "count-m-plus-n", "enumerate", "enumerate-huge",
         "oracle", "oracle-truncate", "qsym-convert", "qsym-product",
@@ -599,7 +607,7 @@ def _shuffle_pair(a, b):
         "qsym-antipode-inductive-work", "oracle-truncate-expansion",
         "perm-shuffle", "qsym-product-shuffles", "dims-digits",
         "verify-compositions", "verify-posets", "verify-default-max-n",
-        "verify-oracle-choices"])
+        "verify-oracle-choices", "count-huge-m", "verify-huge-m"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -1024,6 +1032,20 @@ def test_module_invocation_reads_stdin():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"m": 1, "comp": [[4, 0]]}
+
+
+def test_module_invocation_refuses_stdin_that_is_not_utf8():
+    # the same bytes as a payload file are refused by the same rule
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqsym.cli", "comp", "hat", "--in", "-"],
+        input=b'{"m": 1, "comp": [[1, 0]], "x": "\xff"}',
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "parse"
+    assert error["detail"].startswith("cannot read -: 'utf-8' codec")
 
 
 def test_module_invocation_of_verify_imports_the_cli_once():

@@ -1,5 +1,6 @@
 """The layer modules load on first touch: which layers a CLI call runs,
-thread safety of the first touch, pickles, and the package's names.
+thread safety of the first touch, pickles, the package's names, which
+read one layer each, and memo stats, which read only the layers that ran.
 
 Each check runs in a fresh interpreter, where no layer has run yet.  A
 layer has run once its sys.modules entry is a plain module.
@@ -14,7 +15,6 @@ import sys
 import pytest
 
 from cqsym import poset as ps
-from cqsym import verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -63,6 +63,13 @@ QSYM = '{"m":1,"basis":"F","terms":[{"comp":[[2,0]],"coeff":1}]}'
     (["oracle", "ppartitions", "--in", POSET], ["poset", "oracle"]),
     (["oracle", "split-check", "--in", POSET], ["poset", "oracle"]),
     (["verify", "--suite", "dimension-counts", "--m", "1"], ["combinat"]),
+    (["char", "eval", "zetaQ", "--in", QSYM],
+     ["combinat", "qsym", "characters"]),
+    (["char", "eval", "nuP", "--in", POSET], ["poset", "characters"]),
+    (["char", "psi", "zetaQ", "--in", QSYM],
+     ["combinat", "qsym", "characters"]),
+    (["oracle", "truncate", "--in", QSYM], ["combinat", "qsym", "oracle"]),
+    (["poset", "count", "--m", "1", "--max-n", "3"], ["poset"]),
 ])
 def test_a_call_runs_only_the_layers_its_verb_reads(argv, layers):
     code = ("import contextlib, io\nimport cqsym.cli as cli\n"
@@ -160,7 +167,6 @@ PUBLIC = """
 
 
 @pytest.mark.parametrize("read", [
-    "names = vars(cqsym)",
     "names = {}\nexec('from cqsym import *', names)",
     "names = dir(cqsym)",
 ])
@@ -172,24 +178,57 @@ def test_the_package_exports_the_same_names(read):
 
 def test_a_reexport_is_the_layer_attribute():
     code = """
-import sys, types, cqsym
+import types, cqsym
 assert cqsym.qsym_antipode is cqsym.qsym.antipode
 assert cqsym.antipode is cqsym.poset.antipode
-assert all(type(sys.modules["cqsym." + l]) is types.ModuleType
-           for l in %r)
+assert "antipode" not in vars(cqsym)
+try:
+    cqsym.nope
+except AttributeError as exc:
+    print(exc)
 print(type(cqsym) is types.ModuleType)
-""" % (LAYERS,)
-    assert _python(code)[-1] == "True"
+"""
+    assert _python(code + LOADED)[-3:] == [
+        "module 'cqsym' has no attribute 'nope'", "True", '["poset", "qsym"]']
 
 
-def test_verify_stats_list_the_caches_of_layers_the_suite_never_read():
+@pytest.mark.parametrize("name, layer", [
+    ("weight", "combinat"), ("Poset", "poset"), ("qsym_counit", "qsym"),
+    ("zeta_qsym", "characters"), ("TPoly", "oracle"),
+])
+def test_reading_a_reexport_runs_its_layer_alone(name, layer):
+    assert _loaded_after("import cqsym\ncqsym.%s" % name) == [layer]
+    assert _loaded_after("from cqsym import %s" % name) == [layer]
+
+
+def test_verify_stats_list_no_cache_of_a_layer_the_suite_never_read():
     code = ("import contextlib, io, json\nimport cqsym.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "    cli.main(['verify', '--suite', 'dimension-counts', "
             "'--m', '1', '--stats'])\n"
             "print(json.dumps(sorted(json.loads(out.getvalue())"
-            "['stats']['caches'])))")
-    names = json.loads(_python(code)[-1])
-    assert names == sorted(verify.cache_stats())
-    assert any(n.startswith("characters.") for n in names)
-    assert any(n.startswith("oracle.") for n in names)
+            "['stats']['caches'])))\n" + LOADED)
+    names, loaded = map(json.loads, _python(code)[-2:])
+    assert loaded == ["combinat"]
+    assert all(name.startswith("combinat.") for name in names), names
+
+
+def test_verify_stats_list_a_layer_only_a_forked_shard_ran():
+    code = """
+import json
+import cqsym.verify as verify
+from cqsym import qsym as qs
+
+def test(i):
+    if i:
+        verify.oc.truncate(qs.QElt(1, "M", {((1, 0),): 1}), 2)
+    return True
+
+reports, stats = verify.run_checks([("x", [0, 1], test, str)], 2)
+assert stats["processes"] == 2 and reports[0]["ok"], (reports, stats)
+print(json.dumps([verify.cache_stats(stats["caches"])["oracle._embeddings"],
+                  stats["caches"]["oracle._embeddings", "misses"]]))
+"""
+    info, child_misses = json.loads(_python(code)[-1])
+    assert child_misses == 1
+    assert info["misses"] == 1 and info["currsize"] == 1
