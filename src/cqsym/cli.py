@@ -9,13 +9,15 @@ an unknown option or one the verb does not read, exit 2 and domain
 violations exit 3, each with a JSON error object naming the problem
 (among them a result holding an integer too long to print);
 failed verifications exit 1, and an unexpected internal error exits 4
-with a JSON error of type "internal".  argparse refuses an unknown op,
-so each handler answers its last op without testing for it.
+with a JSON error of type "internal".  A stdout that its reader closed
+exits 141 with nothing on stderr.  argparse refuses an unknown op, so
+each handler answers its last op without testing for it.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -50,6 +52,7 @@ MAX_COUNT_M_PLUS_N = 7    # poset count colors each structure m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
+MAX_ORACLE_GRID = 1 << 28     # (2N)^n summed over a verify grid's posets
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
                           # chain pairs of qsym product, M antipode
                           # coarsenings, representative chain letters and
@@ -573,14 +576,19 @@ def cmd_oracle(args):
 def _bound_verify_grid(suite, m, max_n, max_N):
     """Refuse a verify grid past the bounds of what it enumerates:
     compositions for dimension-counts, canonical posets for every other
-    suite, and the oracle's (2N)^n choices for oracle-equivalence."""
+    suite, and for oracle-equivalence the oracle's (2N)^n choices, on a
+    poset of max_n elements and then summed over the grid's canonical
+    posets, which the suite reuses."""
     if suite == "dimension-counts":
         _bound_levels(m, max_n)
     else:
         _bound_poset_grid(m, max_n)
-    if suite == "oracle-equivalence" and max_N is not None:
+    if suite == "oracle-equivalence":
         _positive(max_N, "truncation level")
         _bound_oracle_choices(max_N, [max_n])
+        _at_most(sum((2 * max_N) ** n * len(ps.canonical_posets(m, n))
+                     for n in range(max_n + 1)), MAX_ORACLE_GRID,
+                 "oracle choices (2N)^n over the grid")
 
 
 def cmd_verify(args):
@@ -591,10 +599,9 @@ def cmd_verify(args):
     _expect(name in SUITES, "unknown suite %r; one of %s"
             % (name, ", ".join(sorted(SUITES))))
     m = _positive(args.m, "m")
-    _bound_verify_grid(name, m, args.max_n if args.max_n is not None
-                       else DEFAULT_MAX_N[name], args.max_N)
-    checks, run = run_checks(SUITES[name](m, args.max_n, args.max_N,
-                                          args.seed))
+    max_n = DEFAULT_MAX_N[name] if args.max_n is None else args.max_n
+    _bound_verify_grid(name, m, max_n, args.max_N)
+    checks, run = run_checks(SUITES[name](m, max_n, args.max_N, args.seed))
     if not args.stats:
         for c in checks:
             del c["seconds"]
@@ -638,7 +645,7 @@ class _Parser(argparse.ArgumentParser):
 _OPTIONS = {
     "--m": dict(type=int, default=None),
     "--max-n": dict(dest="max_n", type=int, default=None),
-    "--max-N": dict(dest="max_N", type=int, default=None),
+    "--max-N": dict(dest="max_N", type=int, default=2),
     "--seed": dict(type=int, default=0),
     "--in": dict(dest="infile", default=None,
                  help="inline JSON, a file path, or - for stdin"),
@@ -680,7 +687,7 @@ def _build_parser():
             "--route", choices=("closed", "inductive"), default="closed")
     add("char", ["eval", "psi"], cmd_char, "--m --in").add_argument("name")
     add("oracle", ["ppartitions", "enriched", "truncate", "split-check"],
-        cmd_oracle, "--m --max-N --in", max_N=2)
+        cmd_oracle, "--m --max-N --in")
     add("verify", None, cmd_verify,
         "--m --max-n --max-N --seed --suite --stats", m=2)
     add("dims", None, cmd_dims, "--m --max-n", max_n=5)
@@ -688,10 +695,23 @@ def _build_parser():
 
 
 def _emit(obj):
-    print(json.dumps(obj))
+    print(json.dumps(obj), flush=True)
 
 
 def main(argv=None):
+    """Answer argv on stdout and return the exit code.  If stdout's reader
+    has gone, point stdout at the null device, so the flush at exit cannot
+    fail again, and return 141, the code of a death by SIGPIPE."""
+    try:
+        return _answer(argv)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
+
+
+def _answer(argv):
     try:
         args = _build_parser().parse_args(argv)
         out = args.fn(args)
@@ -707,6 +727,8 @@ def main(argv=None):
     except ValueError as exc:
         _emit({"error": {"type": "domain", "invariant": str(exc)}})
         return 3
+    except BrokenPipeError:
+        raise
     except Exception as exc:
         _emit({"error": {"type": "internal",
                          "detail": "%s: %s" % (type(exc).__name__, exc)}})

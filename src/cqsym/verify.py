@@ -1,11 +1,12 @@
 """Verification suites behind `cqsym verify`.
 
-Each suite takes (m, max_n, max_N, seed), with None selecting its default
-grid, and returns its checks as (name, items, test, describe) specs:
-test(item) says whether the identity holds on one case, and describe(item)
-is a replayable JSON payload of a counterexample.  run_checks runs the
-specs and gives one report per check: the check's name, whether it held,
-how many cases it covered, the first counterexample, and its wall time in
+Each suite takes (m, max_n, max_N, seed) and builds exactly that grid; its
+caller resolves the defaults, DEFAULT_MAX_N[name] and max_N = 2.  A suite
+returns its checks as (name, items, test, describe) specs: test(item)
+says whether the identity holds on one case, and describe(item) is a
+replayable JSON payload of a counterexample.  run_checks runs the specs
+and gives one report per check: the check's name, whether it held, how
+many cases it covered, the first counterexample, and its wall time in
 seconds.  A check that covered no cases does not pass.
 
 Cases are independent, so once a suite has SHARD_FLOOR cases run_checks
@@ -196,18 +197,12 @@ def cache_stats(growth=None):
     return out
 
 
-# The max_n a suite runs at when given None.  Only oracle-equivalence
-# reads max_N; it defaults to 2.
 DEFAULT_MAX_N = {
     "hopf-axioms": 5, "gamma-morphism": 5, "lambda-morphism": 5,
     "theta-morphism": 5, "antipode-consistency": 4,
     "oracle-equivalence": 4, "character-group": 4, "nu-counting": 4,
     "dimension-counts": 5,
 }
-
-
-def _max_n(suite, max_n):
-    return DEFAULT_MAX_N[suite] if max_n is None else max_n
 
 
 def _poset_grid(m, max_n):
@@ -278,6 +273,15 @@ def _poset_pair_json(pr):
 
 def _comp_pair_json(pr):
     return {"first": comp_json(pr[0]), "second": comp_json(pr[1])}
+
+
+def _comp_item_json(alpha):
+    return {"comp": comp_json(alpha)}
+
+
+def _color_poset_json(item):
+    j, P = item
+    return {"color": j, "poset": poset_json(P)}
 
 
 def _poset_counit_ok(P):
@@ -356,8 +360,7 @@ def _m_elt(m, alpha):
     return qs.QElt.basis_elt(m, "M", alpha)
 
 
-def _qsym_counit_ok(key):
-    m, alpha = key
+def _qsym_counit_ok(alpha):
     left, right = {}, {}
     for a, b in qs.deconcats(alpha):
         if not a:
@@ -367,8 +370,7 @@ def _qsym_counit_ok(key):
     return left == {alpha: 1} == right
 
 
-def _qsym_coassoc_ok(key):
-    m, alpha = key
+def _qsym_coassoc_ok(alpha):
     lhs, rhs = {}, {}
     for a, b in qs.deconcats(alpha):
         for a1, a2 in qs.deconcats(a):
@@ -392,8 +394,7 @@ def _qsym_bialgebra_ok(m, alpha, beta):
     return lhs == rhs
 
 
-def _qsym_antipode_ok(key):
-    m, alpha = key
+def _qsym_antipode_ok(m, alpha):
     left, right = {}, {}
     for a, b in qs.deconcats(alpha):
         sa = qs.antipode(_m_elt(m, a))
@@ -421,25 +422,23 @@ def _coalgebra_ok(gf, P):
 
 
 def _suite_hopf_axioms(m, max_n, max_N, seed):
-    max_n = _max_n("hopf-axioms", max_n)
     grid = _poset_grid(m, max_n)
     pairs = _SizePairs(grid, max_n, lambda P: P.n)
     qn = min(max_n, 4)
     comps = _comp_grid(m, qn)
-    keys = [(m, a) for a in comps]
     prods = _SizePairs(comps, qn, cb.weight)
-    kj = lambda k: {"comp": comp_json(k[1])}
     return [
         ("poset-counit", grid, _poset_counit_ok, poset_json),
         ("poset-coassociativity", grid, _poset_coassoc_ok, poset_json),
         ("poset-bialgebra", pairs, _poset_bialgebra_ok, _poset_pair_json,
          pairs.owner),
         ("poset-antipode", grid, _poset_antipode_ok, poset_json),
-        ("qsym-counit", keys, _qsym_counit_ok, kj),
-        ("qsym-coassociativity", keys, _qsym_coassoc_ok, kj),
+        ("qsym-counit", comps, _qsym_counit_ok, _comp_item_json),
+        ("qsym-coassociativity", comps, _qsym_coassoc_ok, _comp_item_json),
         ("qsym-bialgebra", prods, lambda pr: _qsym_bialgebra_ok(m, *pr),
          _comp_pair_json),
-        ("qsym-antipode", keys, _qsym_antipode_ok, kj),
+        ("qsym-antipode", comps, lambda a: _qsym_antipode_ok(m, a),
+         _comp_item_json),
     ]
 
 
@@ -448,7 +447,6 @@ def _morphism_suite(prefix, gf_name):
     built, is an algebra and a coalgebra morphism."""
     def suite(m, max_n, max_N, seed):
         gf = getattr(qs, gf_name)
-        max_n = _max_n(prefix + "-morphism", max_n)
         grid = _poset_grid(m, max_n)
         pairs = _SizePairs(grid, max_n, lambda P: P.n)
         return [
@@ -463,7 +461,6 @@ def _morphism_suite(prefix, gf_name):
 
 
 def _suite_theta_morphism(m, max_n, max_N, seed):
-    max_n = _max_n("theta-morphism", max_n)
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
     cpairs = _SizePairs(comps, max_n, cb.weight)
@@ -476,7 +473,7 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
         ("theta-antipode-commutes", comps,
          lambda a: qs.peak_projection(qs.antipode(fe(a)))
          == qs.antipode(qs.peak_projection(fe(a))),
-         lambda a: {"comp": comp_json(a)}),
+         _comp_item_json),
         ("theta-algebra", cpairs,
          lambda pr: qs.peak_projection(qs.multiply(fe(pr[0]), fe(pr[1])))
          == qs.multiply(qs.peak_projection(fe(pr[0])),
@@ -486,26 +483,24 @@ def _suite_theta_morphism(m, max_n, max_N, seed):
 
 
 def _suite_antipode_consistency(m, max_n, max_N, seed):
-    max_n = _max_n("antipode-consistency", max_n)
     grid = _poset_grid(m, max_n)
     comps = _comp_grid(m, max_n)
     peaks = [a for n in range(max_n + 1) for a in cb.peak_compositions(m, n)]
-    cjson = lambda a: {"comp": comp_json(a)}
     return [
         ("monomial-closed-vs-inductive", comps,
          lambda a: qs.antipode(_m_elt(m, a))
          == qs.antipode_inductive_key(a, m),
-         cjson),
+         _comp_item_json),
         ("fundamental-vs-monomial-route", comps,
          lambda a: qs.to_monomial(
              qs.antipode(qs.QElt.basis_elt(m, "F", a)))
          == qs.antipode(qs.f_to_m(qs.QElt.basis_elt(m, "F", a))),
-         cjson),
+         _comp_item_json),
         ("peak-vs-monomial-route", peaks,
          lambda a: qs.to_monomial(
              qs.antipode(qs.QElt.basis_elt(m, "K", a)))
          == qs.antipode(qs.to_monomial(qs.QElt.basis_elt(m, "K", a))),
-         cjson),
+         _comp_item_json),
         ("poset-inductive-vs-chains", grid,
          lambda P: ps.antipode_key(P) == ps.antipode_chains_key(P),
          poset_json),
@@ -513,8 +508,6 @@ def _suite_antipode_consistency(m, max_n, max_N, seed):
 
 
 def _suite_oracle_equivalence(m, max_n, max_N, seed):
-    max_n = _max_n("oracle-equivalence", max_n)
-    max_N = 2 if max_N is None else max_N
     grid = _poset_grid(m, max_n)
     cases = [(P, N) for P in grid for N in range(1, max_N + 1)]
     pairs = _SizePairs(grid, max_n, lambda P: P.n)
@@ -542,7 +535,6 @@ def _suite_oracle_equivalence(m, max_n, max_N, seed):
 
 
 def _suite_character_group(m, max_n, max_N, seed):
-    max_n = _max_n("character-group", max_n)
     keys = _comp_grid(m, max_n)
     grid = _poset_grid(m, max_n)
     gens = []
@@ -579,12 +571,11 @@ def _suite_character_group(m, max_n, max_N, seed):
         ("two-sided-inverse", gens, inverse_ok,
          lambda p: {"name": p.name}),
         ("zeta-pullback-along-gamma", pulls, pullback_ok,
-         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+         _color_poset_json),
     ]
 
 
 def _suite_nu_counting(m, max_n, max_N, seed):
-    max_n = _max_n("nu-counting", max_n)
     grid = _poset_grid(m, max_n)
 
     def single_ok(arg):
@@ -619,16 +610,15 @@ def _suite_nu_counting(m, max_n, max_N, seed):
     singles = [(j, P) for j in range(m) for P in grid]
     return [
         ("nu-single-color-counting", singles, single_ok,
-         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+         _color_poset_json),
         ("nu-full-counting", grid, full_ok, poset_json),
         ("nu-equals-zeta-after-lambda", grid, lambda_ok, poset_json),
         ("nu-oddness", singles, odd_ok,
-         lambda arg: {"color": arg[0], "poset": poset_json(arg[1])}),
+         _color_poset_json),
     ]
 
 
 def _suite_dimension_counts(m, max_n, max_N, seed):
-    max_n = _max_n("dimension-counts", max_n)
     levels = list(range(1, max_n + 1))
 
     def qsym_ok(n):

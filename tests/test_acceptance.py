@@ -28,11 +28,12 @@ def _criterion(label, fn, budget=None):
     print("%s PASS (%.2fs)" % (label, dt))
 
 
-def _run_suites(names, m_values, max_n=None, max_N=None):
+def _run_suites(names, m_values, max_n=None, max_N=2):
     for name in names:
         for m in m_values:
+            n = verify.DEFAULT_MAX_N[name] if max_n is None else max_n
             checks, _ = verify.run_checks(
-                verify.SUITES[name](m, max_n, max_N, 0))
+                verify.SUITES[name](m, n, max_N, 0))
             for check in checks:
                 assert check["checked"] > 0, (name, m, check["name"])
                 assert check["ok"], (name, m, check)

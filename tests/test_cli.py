@@ -598,6 +598,11 @@ def _shuffle_pair(a, b):
      "--max-n must be <= 4"),
     (("verify", "--suite", "oracle-equivalence", "--m", "1", "--max-n", "4",
       "--max-N", "20"), "oracle choices (2N)^n must be <= 1048576"),
+    # 14^4 = 38,416 choices pass on one poset of 4 elements, but summed
+    # over the grid's canonical posets they come to 339,108,267
+    (("verify", "--suite", "oracle-equivalence", "--m", "3", "--max-n", "4",
+      "--max-N", "7"),
+     "oracle choices (2N)^n over the grid must be <= 268435456"),
     (("poset", "count", "--m", "600"), "m must be <= 7"),
     (("verify", "--suite", "hopf-axioms", "--m", "9"), "m must be <= 7"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
@@ -607,7 +612,8 @@ def _shuffle_pair(a, b):
         "qsym-antipode-inductive-work", "oracle-truncate-expansion",
         "perm-shuffle", "qsym-product-shuffles", "dims-digits",
         "verify-compositions", "verify-posets", "verify-default-max-n",
-        "verify-oracle-choices", "count-huge-m", "verify-huge-m"])
+        "verify-oracle-choices", "verify-oracle-grid", "count-huge-m",
+        "verify-huge-m"])
 def test_exponential_operations_are_bounded(argv, invariant, capsys):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -666,7 +672,9 @@ def test_unbounded_grids_are_refused_at_once():
                  ("verify", "--suite", "dimension-counts", "--m", "3",
                   "--max-n", "40"),
                  ("verify", "--suite", "hopf-axioms", "--m", "1",
-                  "--max-n", "8")):
+                  "--max-n", "8"),
+                 ("verify", "--suite", "oracle-equivalence", "--m", "3",
+                  "--max-n", "4", "--max-N", "7")):
         start = time.perf_counter()
         code, out = _run(*argv)
         assert time.perf_counter() - start < 1.0, argv
@@ -702,6 +710,8 @@ def test_grid_bounds_admit_their_limits():
     code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
                      "--max-n", "4", "--max-N", "8")
     assert code == 0 and out["ok"] is True
+    # 183,130,021 choices over the grid, admitted without running the suite
+    assert cli._bound_verify_grid("oracle-equivalence", 3, 4, 6) is None
 
 
 def _ones(k):
@@ -1062,6 +1072,33 @@ def test_module_invocation_of_verify_imports_the_cli_once():
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "cqsym.verify" in imported and "cqsym.cli" not in imported
+
+
+def _with_closed_stdout(*argv):
+    """Exit code and stderr of a CLI call whose stdout is a pipe that no
+    process reads."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqsym.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("comp", "hat", "--in", '{"m": 1, "comp": [[1, 0]]}'),
+    ("dims", "--m", "3", "--max-n", "900"),
+    ("comp", "hat", "--in", "{"),
+    ("dims", "--m", "3", "--max-n", "8000"),
+], ids=["answer", "long-answer", "parse-error", "domain-error"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    assert _with_closed_stdout(*argv) == (141, "")
 
 
 # --- every verb/op pair: one valid and one malformed call ------------------

@@ -1,6 +1,7 @@
 """The layer modules load on first touch: which layers a CLI call runs,
-thread safety of the first touch, pickles, the package's names, which
-read one layer each, and memo stats, which read only the layers that ran.
+a first touch by assignment or deletion, thread safety of the first
+touch, pickles, the package's names, which read one layer each, and memo
+stats, which read only the layers that ran.
 
 Each check runs in a fresh interpreter, where no layer has run yet.  A
 layer has run once its sys.modules entry is a plain module.
@@ -89,6 +90,26 @@ counts = verify._memo_counts()
 assert counts["poset._canonical_posets", "misses"] == 1, counts
 """
     assert _loaded_after(code) == ["poset"]
+
+
+def test_assigning_a_layer_attribute_first_runs_the_layer():
+    code = """
+import cqsym
+f = lambda alpha: 0
+cqsym.combinat.weight = f
+assert cqsym.combinat.weight is f and callable(cqsym.combinat.hat)
+"""
+    assert _loaded_after(code) == ["combinat"]
+
+
+def test_deleting_a_layer_attribute_first_runs_the_layer():
+    code = """
+import cqsym
+del cqsym.qsym.multiply
+assert not hasattr(cqsym.qsym, "multiply")
+"""
+    loaded = _loaded_after(code)
+    assert "qsym" in loaded and "poset" not in loaded
 
 
 def test_a_call_with_integer_coefficients_imports_no_fractions():

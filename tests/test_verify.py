@@ -4,6 +4,7 @@ The process count is forced through run_checks' processes argument, so
 these tests fork children whatever the grid size or the CPU count.
 """
 
+import argparse
 import io
 import json
 import multiprocessing
@@ -307,3 +308,50 @@ def test_the_bialgebra_check_fails_on_wrong_memoized_splits_of_a_product():
     assert not _with_wrong_splits(ps.product_key(*pair),
                                   verify._poset_bialgebra_ok, pair)
     assert verify._poset_bialgebra_ok(pair)
+
+
+def _item_parts(item):
+    """The posets and compositions an item holds, in order."""
+    if isinstance(item, ps.Poset):
+        return [item]
+    if not isinstance(item, tuple):
+        return []
+    if all(isinstance(part, tuple) and len(part) == 2
+           and all(type(x) is int for x in part) for part in item):
+        return [item]   # a composition, () among them
+    return [p for x in item for p in _item_parts(x)]
+
+
+def _payload_parts(payload, args):
+    """The posets and compositions a counterexample payload names, in
+    order, each parsed as the CLI parses its input."""
+    if "elements" in payload:
+        return [cli.parse_poset(payload, args)]
+    out = []
+    for key in ("comp", "poset", "first", "second"):
+        if isinstance(payload.get(key), dict):
+            out.append(cli.parse_poset(payload[key], args))
+        elif key in payload:
+            m, alpha = cli.parse_comp(payload, args, key)
+            assert m == args.m
+            out.append(alpha)
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_every_counterexample_payload_replays_its_item(suite):
+    for m in (1, 2):
+        args = argparse.Namespace(m=m)
+        for name, items, test, describe, *_ in verify.SUITES[suite](
+                m, 2, 1, 0):
+            for item in items:
+                payload = describe(item)
+                assert json.loads(json.dumps(payload)) == payload
+                want = _item_parts(item)
+                got = _payload_parts(payload, args)
+                assert len(got) == len(want), (suite, name, payload)
+                for parsed, part in zip(got, want):
+                    if isinstance(part, ps.Poset):
+                        assert parsed.canonical is part, (suite, name)
+                    else:
+                        assert parsed == part, (suite, name)
