@@ -14,6 +14,15 @@ monomial.  Tuples and monomials correspond one to one, so the identity
 checks that compare enumerations with each other (split alphabet,
 product law, extension partition) compare tallies and build no
 polynomial.
+
+The P-partition kernel reads colors, below masks and a mask of the
+elements to place.  So the split-alphabet check counts each ideal and
+its complement in place, with no restricted poset, and the extension
+check counts each chain from its index order in poset.extension_table,
+with no chain poset.  The maps into N levels are those into N' >= N
+levels whose monomials use only the first N.  at_level reads them off
+one enumeration, which is how the oracle-equivalence suite enumerates
+each poset once per run, at its largest N.
 """
 
 from bisect import bisect_left
@@ -65,12 +74,13 @@ def _need_levels(N):
         raise ValueError("N must be >= 1, got %r" % (N,))
 
 
-def _order(P, weight):
-    # indices by how much lies below them (valid since below sets nest), and
-    # for each the pairs (i, weight(i, b)) over everything below it
-    topo = sorted(range(P.n), key=lambda i: bin(P.below[i]).count("1"))
-    return topo, [[(i, weight(i, b)) for i in range(P.n)
-                   if P.below[b] >> i & 1] for b in topo]
+def _order(below, todo, weight):
+    # the indices in todo by how much of todo lies below them (valid since
+    # below sets nest), and for each the pairs (i, weight(i, b)) over the
+    # indices of todo below it
+    topo = sorted(ps._bits(todo), key=lambda i: (below[i] & todo).bit_count())
+    return topo, [[(i, weight(i, b)) for i in ps._bits(below[b] & todo)]
+                  for b in topo]
 
 
 def _tally_terms(tally, m):
@@ -100,16 +110,22 @@ def enumerate_ppartitions(P, N):
     A lower i needs level(b) >= level(i), plus one when i has the larger
     color, or the same color and the larger value.
     """
-    return TPoly(N, P.m, _tally_terms(_ppartition_tally(P, N), P.m))
+    return TPoly(N, P.m, _tally_terms(_whole_tally(P, N), P.m))
 
 
-def _ppartition_tally(P, N):
-    # the kernel of enumerate_ppartitions: sorted slot tuple -> count
+def _whole_tally(P, N):
+    return _ppartition_tally(P.m, P.colors, P.below, (1 << P.n) - 1, N)
+
+
+def _ppartition_tally(m, colors, below, todo, N):
+    # the kernel of enumerate_ppartitions on the poset induced on the
+    # indices in todo, with the order given by the below masks: sorted
+    # slot tuple -> count
     _need_levels(N)
-    m, n, colors = P.m, P.n, P.colors
-    topo, pairs = _order(P, lambda i, b: int(
+    topo, pairs = _order(below, todo, lambda i, b: int(
         colors[i] > colors[b] or (colors[i] == colors[b] and i > b)))
-    levels = [0] * n
+    n = len(topo)
+    levels = [0] * len(colors)
     slots = [0] * n
     tally = {}
 
@@ -149,7 +165,7 @@ def enumerate_enriched(P, N):
     """
     _need_levels(N)
     m, n, colors = P.m, P.n, P.colors
-    topo, pairs = _order(P, lambda i, b: int(i < b))
+    topo, pairs = _order(P.below, (1 << n) - 1, lambda i, b: int(i < b))
     ranks = [0] * n
     slots = [0] * n
     cands = [[(s * m + colors[b]) * 2 + sg
@@ -176,6 +192,17 @@ def enumerate_enriched(P, N):
 
     place(0)
     return TPoly(N, m, _tally_terms(tally, m))
+
+
+def at_level(p, N):
+    """p with every variable past level N set to zero.
+
+    On an enumeration into N' >= N levels that leaves the maps into the
+    first N: the same enumeration at N.
+    """
+    _need_levels(N)
+    return TPoly(N, p.m, {key: c for key, c in p.terms.items()
+                          if not key or key[-1][0][0] <= N})
 
 
 @cache
@@ -225,15 +252,16 @@ def split_alphabet_check(P, N):
     ones, so each product tuple is the low tuple followed by the shifted
     high one, already sorted.
     """
-    shift = N * P.m
+    m, colors, below = P.m, P.colors, P.below
+    shift = N * m
     full = (1 << P.n) - 1
     acc = {}
     for mask in P.ideal_masks():
-        lo = _ppartition_tally(P.restrict(mask), N)
-        hi = _ppartition_tally(P.restrict(full & ~mask), N)
+        lo = _ppartition_tally(m, colors, below, mask, N)
+        hi = _ppartition_tally(m, colors, below, full & ~mask, N)
         hi = {tuple(s + shift for s in key): c for key, c in hi.items()}
         _add_products(acc, lo, hi, tuple.__add__)
-    return acc == _ppartition_tally(P, 2 * N)
+    return acc == _whole_tally(P, 2 * N)
 
 
 def product_law_check(A, B, C, N):
@@ -242,15 +270,34 @@ def product_law_check(A, B, C, N):
     True when C is the disjoint union of A and B.
     """
     acc = {}
-    _add_products(acc, _ppartition_tally(A, N), _ppartition_tally(B, N),
+    _add_products(acc, _whole_tally(A, N), _whole_tally(B, N),
                   lambda ka, kb: tuple(sorted(ka + kb)))
-    return acc == _ppartition_tally(C, N)
+    return acc == _whole_tally(C, N)
+
+
+def _extension_chains(P):
+    # per linear extension, in P.linear_extensions() order, the below
+    # masks of the chain of P's letters in its order, read off the index
+    # order in the extension table
+    n = P.n
+    idxs = tuple(range(n))
+    for pick, _ in ps.extension_table(P.above):
+        below, seen = [0] * n, 0
+        for i in pick(idxs):
+            below[i] = seen
+            seen |= 1 << i
+        yield below
 
 
 def extension_partition_check(P, N):
-    """P's P-partitions split by linear extension into chain P-partitions."""
+    """P's P-partitions split by linear extension into chain P-partitions.
+
+    Each chain keeps P's letters, so it is counted on P's colors with the
+    chain's below masks.
+    """
+    m, colors, full = P.m, P.colors, (1 << P.n) - 1
     acc = {}
-    for pi in P.linear_extensions():
-        for key, c in _ppartition_tally(ps.chain_poset(P.m, pi), N).items():
+    for below in _extension_chains(P):
+        for key, c in _ppartition_tally(m, colors, below, full, N).items():
             acc[key] = acc.get(key, 0) + c
-    return acc == _ppartition_tally(P, N)
+    return acc == _whole_tally(P, N)

@@ -10,8 +10,9 @@ from cqsym import combinat as cb
 from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
-from oracle_reference import (assert_kernels_match_reference, tpoly_add,
-                              tpoly_mul, tpoly_shifted, tpoly_total)
+from oracle_reference import (assert_kernels_match_reference,
+                              reference_ppartitions, tpoly_add, tpoly_mul,
+                              tpoly_shifted, tpoly_total)
 
 
 def _chain(m, letters):
@@ -55,6 +56,62 @@ def test_kernels_match_reference_on_labeled_restrictions():
                         seen.add((m, Q.colors, Q.above))
                         for N in (1, 2):
                             assert_kernels_match_reference(Q, N)
+
+
+def test_the_mask_kernel_counts_ideals_and_complements_in_place():
+    # every ideal and complement counted on the whole poset's masks gives
+    # the tally of the restricted poset, keys first seen in the same
+    # order, and the reference's terms
+    for m in (1, 2):
+        for P in _posets(m, 4):
+            full = (1 << P.n) - 1
+            for mask in P.ideal_masks():
+                for side in (mask, full & ~mask):
+                    Q = P.restrict(side)
+                    for N in (1, 2):
+                        got = oc._ppartition_tally(m, P.colors, P.below,
+                                                   side, N)
+                        want = oc._whole_tally(Q, N)
+                        assert list(got.items()) == list(want.items()), \
+                            (P, side, N)
+                        assert oc._tally_terms(got, m) \
+                            == reference_ppartitions(Q, N).terms
+
+
+def test_each_level_is_read_off_the_largest_enumeration():
+    for m in (1, 2):
+        for P in _posets(m, 4):
+            for kernel in (oc.enumerate_ppartitions, oc.enumerate_enriched):
+                top = kernel(P, 3)
+                for N in (1, 2, 3):
+                    got = oc.at_level(top, N)
+                    assert got == kernel(P, N) and got.N == N, \
+                        (kernel.__name__, P, N)
+
+
+def test_at_level_is_truncation_to_fewer_levels():
+    for alpha in cb.enumerate_compositions(2, 3):
+        e = qs.QElt.basis_elt(2, "M", alpha)
+        for N in (1, 2, 3):
+            assert oc.at_level(oc.truncate(e, 3), N) == oc.truncate(e, N)
+    with pytest.raises(ValueError):
+        oc.at_level(oc.truncate(e, 3), 0)
+
+
+def test_chains_from_the_extension_table_count_as_chain_posets():
+    for m in (1, 2):
+        for P in _posets(m, 4):
+            chains = list(oc._extension_chains(P))
+            extensions = P.linear_extensions()
+            assert len(chains) == len(extensions)
+            full = (1 << P.n) - 1
+            for below, pi in zip(chains, extensions):
+                C = ps.chain_poset(m, pi)
+                assert tuple(below) == C.below and P.colors == C.colors
+                for N in (1, 2):
+                    got = oc._ppartition_tally(m, P.colors, below, full, N)
+                    want = oc._whole_tally(C, N)
+                    assert list(got.items()) == list(want.items()), (P, pi)
 
 
 def test_kernel_memory_follows_the_poset_not_the_alphabet():

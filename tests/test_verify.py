@@ -19,6 +19,7 @@ from cqsym import cli
 from cqsym import poset as ps
 from cqsym import qsym as qs
 from cqsym import verify
+from cqsym.terms import poset_json
 from hopf_reference import (reference_antipode_ok, reference_bialgebra_ok,
                             reference_by_larger_factor, reference_coassoc_ok,
                             reference_size_pairs)
@@ -81,6 +82,61 @@ def test_pair_grids_match_the_listed_reference(m, max_n):
             owner(pr) for pr in want]
     with pytest.raises(IndexError):
         pairs[len(want)]
+
+
+@pytest.mark.parametrize("suite, check", [
+    ("hopf-axioms", "poset-bialgebra"), ("hopf-axioms", "qsym-bialgebra")])
+def test_pair_items_take_negative_indices(suite, check):
+    items = next(spec[1] for spec in verify.SUITES[suite](2, 3, 2, 0)
+                 if spec[0] == check)
+    n = len(items)
+    assert n > 1
+    assert items[-1] == items[n - 1] and items[-n] == items[0]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            items[k]
+
+
+def _with_wrong_truncation(monkeypatch, m, max_n, max_N):
+    """The oracle-equivalence specs with truncate wrong at one (P, N),
+    N < max_N, and that case."""
+    specs = verify.SUITES["oracle-equivalence"](m, max_n, max_N, 0)
+    P, N = bad = specs[0][1][5 * max_N]
+    right = verify.oc.truncate
+
+    def truncate(e, n):
+        out = right(e, n)
+        if n == N and e is qs.ppartition_gf(P):
+            out.terms[()] = out.terms.get((), 0) + 1
+        return out
+    monkeypatch.setattr(verify.oc, "truncate", truncate)
+    return specs, bad
+
+
+def test_a_wrong_level_gives_the_serial_report_in_shards(monkeypatch):
+    specs, (P, N) = _with_wrong_truncation(monkeypatch, 2, 3, 3)
+    assert N < 3
+    serial = _run(specs, 1)
+    assert serial == _run(specs, 2)
+    report = serial[0]
+    assert report["name"] == "ppartitions-vs-gamma" and not report["ok"]
+    assert report["checked"] == 5 * 3 + 1
+    assert report["counterexample"] == {"poset": poset_json(P), "N": N}
+
+
+def test_oracle_shards_enumerate_each_poset_once(monkeypatch):
+    # the (P, N) cases of one poset share a shard, so the shards together
+    # compute each generating function once, as a serial run does
+    argv = ("verify", "--suite", "oracle-equivalence", "--m", "2",
+            "--max-n", "3", "--max-N", "3", "--stats")
+    misses = []
+    for processes in (1, 2):
+        qs._extension_gf.cache_clear()
+        code, out = _cli(monkeypatch, processes, *argv)
+        stats = json.loads(out)["stats"]
+        assert code == 0 and stats["processes"] == processes
+        misses.append(stats["caches"]["qsym._extension_gf"]["misses"])
+    assert misses[0] == misses[1] > 0
 
 
 def _raise_at(bad):
