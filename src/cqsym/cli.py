@@ -53,6 +53,8 @@ MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
 MAX_ORACLE_GRID = 1 << 28     # (2N)^n summed over a verify grid's posets
+MAX_ORACLE_LEVELS = 16        # oracle-equivalence lists and truncates every
+                              # level N' <= --max-N for each poset
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
                           # chain pairs of qsym product, M antipode
                           # coarsenings, representative chain letters and
@@ -578,7 +580,7 @@ def _bound_verify_grid(suite, m, max_n, max_N):
     compositions for dimension-counts, canonical posets for every other
     suite, and for oracle-equivalence the oracle's (2N)^n choices, on a
     poset of max_n elements and then summed over the grid's canonical
-    posets, which the suite reuses."""
+    posets, which the suite reuses, and last its levels N."""
     if suite == "dimension-counts":
         _bound_levels(m, max_n)
     else:
@@ -589,6 +591,7 @@ def _bound_verify_grid(suite, m, max_n, max_N):
         _at_most(sum((2 * max_N) ** n * len(ps.canonical_posets(m, n))
                      for n in range(max_n + 1)), MAX_ORACLE_GRID,
                  "oracle choices (2N)^n over the grid")
+        _at_most(max_N, MAX_ORACLE_LEVELS, "--max-N of oracle-equivalence")
 
 
 def cmd_verify(args):

@@ -207,22 +207,14 @@ def at_level(p, N):
 
 @cache
 def _embeddings(alpha, N):
-    # strictly increasing (level, color) supports with colors fixed by
-    # alpha, as monomial keys; memoized, since truncate meets the same
-    # few (alpha, N) again and again
-    k = len(alpha)
-
-    def go(t, prev, acc):
-        if t == k:
-            yield tuple(sorted(acc))
-            return
-        size, j = alpha[t]
-        for i in range(1, N + 1):
-            if prev is not None and (i, j) <= prev:
-                continue
-            yield from go(t + 1, (i, j), acc + [((i, j), size)])
-
-    return tuple(go(0, None, []))
+    # alpha's monomial keys over N levels: strictly increasing (level,
+    # color) supports with alpha's colors, built one part at a time;
+    # memoized, since truncate meets the same few (alpha, N) again and again
+    keys = [()]
+    for size, j in alpha:
+        keys = [key + (((i, j), size),) for key in keys
+                for i in range(1, N + 1) if not key or (i, j) > key[-1][0]]
+    return tuple(keys)
 
 
 def truncate(e, N):

@@ -16,7 +16,8 @@ fifth element owner(index), to shard owner(i) mod k.  The calling
 process runs shard 0 and forked children run the others, on a
 copy-on-write copy of the grids and memos.  Every shard stops a check at
 its first failure, and the earliest one over all shards decides the
-report, so the reports are those of a serial run.
+report, so the reports are those of a serial run.  An exception is
+recorded as text; the calling process runs its case again to raise it.
 """
 
 import gc
@@ -27,6 +28,7 @@ import time
 import types
 from bisect import bisect_right
 from collections import Counter
+from functools import lru_cache
 
 from . import characters as ch
 from . import combinat as cb
@@ -66,7 +68,7 @@ def _shard(spec, shard, k):
 
 def _run_shard(specs, shard, k):
     """Per spec: (index of the shard's first failing item or None, the
-    exception it raised or None, seconds)."""
+    "Type: message" text of the exception it raised or None, seconds)."""
     out = []
     for spec in specs:
         items, test = spec[1], spec[2]
@@ -76,7 +78,7 @@ def _run_shard(specs, shard, k):
             try:
                 ok = test(items[i])
             except Exception as e:
-                bad, exc = i, e
+                bad, exc = i, "%s: %s" % (type(e).__name__, e)
                 break
             if not ok:
                 bad = i
@@ -91,13 +93,8 @@ def _memo_counts():
 
 
 def _shard_child(conn, specs, shard, k):
-    # exceptions go back as text; the parent re-raises them by re-running
     before = _memo_counts()
-    events = []
-    for bad, exc, seconds in _run_shard(specs, shard, k):
-        if exc is not None:
-            exc = "%s: %s" % (type(exc).__name__, exc)
-        events.append((bad, exc, seconds))
+    events = _run_shard(specs, shard, k)
     grown = _memo_counts()
     grown.subtract(before)
     conn.send((events, grown))
@@ -139,19 +136,19 @@ def _forked_shards(specs, k):
     return shards, growth
 
 
-def run_checks(specs, processes=None):
+def run_checks(specs):
     """Run check specs; returns (reports, stats).
 
-    processes forces the number of processes k.  By default k is 1 below
-    SHARD_FLOOR cases, without fork, or while other threads run, and
-    otherwise one per available CPU up to MAX_PROCESSES.  stats holds k as "processes" and, as
-    "caches", what the children added to the memos since the fork, by
-    (cache name, "hits" | "misses" | "currsize"), for cache_stats.  If
-    the earliest failure of a check is an exception, it propagates:
-    raised again as it was in this process, or by re-running the case
-    here when a child met it.
+    The number of processes k is 1 below SHARD_FLOOR cases, without fork,
+    or while other threads run, and otherwise one per available CPU up to
+    MAX_PROCESSES.  stats holds k as "processes" and, as "caches", what
+    the children added to the memos since the fork, by (cache name,
+    "hits" | "misses" | "currsize"), for cache_stats.  If the earliest
+    failure of a check is an exception, running its case again here
+    raises it; a case that passes when run again fails the run with a
+    RuntimeError naming the check and the first exception.
     """
-    k = processes or _processes(sum(len(spec[1]) for spec in specs))
+    k = _processes(sum(len(spec[1]) for spec in specs))
     if k == 1:
         shards, growth = [_run_shard(specs, 0, 1)], Counter()
     else:
@@ -161,12 +158,10 @@ def run_checks(specs, processes=None):
         events = [shard[j] for shard in shards]
         bad, exc = min(((b, e) for b, e, _ in events if b is not None),
                        key=lambda ev: ev[0], default=(None, None))
-        if isinstance(exc, Exception):
-            raise exc
         if exc is not None:
             test(items[bad])
-            raise RuntimeError("check %s raised %s in a worker process "
-                               "only" % (name, exc))
+            raise RuntimeError("check %s raised %s, then passed when run "
+                               "again" % (name, exc))
         reports.append({
             "name": name, "ok": bad is None and len(items) > 0,
             "checked": len(items) if bad is None else bad + 1,
@@ -511,16 +506,14 @@ def _suite_antipode_consistency(m, max_n, max_N, seed):
 
 def _level_check(enumerate_gf, gf, max_N):
     """Test of a case (P, N): the enumeration at N equals gf(P)
-    truncated to N.  The enumeration is read off one at max_N, kept for
-    the last poset met: the cases of one poset come one after another,
-    in the same shard."""
-    last = [None, None]
+    truncated to N.  The enumeration is read off one at max_N, held by a
+    one-entry lru_cache of this check for the last poset met: the cases
+    of one poset come one after another, in the same shard."""
+    enumerated = lru_cache(maxsize=1)(lambda P: enumerate_gf(P, max_N))
 
     def test(case):
         P, N = case
-        if last[0] is not P:
-            last[:] = P, enumerate_gf(P, max_N)
-        return oc.at_level(last[1], N) == oc.truncate(gf(P), N)
+        return oc.at_level(enumerated(P), N) == oc.truncate(gf(P), N)
     return test
 
 

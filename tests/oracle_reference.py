@@ -5,7 +5,8 @@ it, and each leaf builds its monomial.  The library kernels must count the
 same maps into the same terms, first visited in the same order.
 
 The polynomial arithmetic on oracle.TPoly that the identity checks used
-before they compared leaf tallies lives here too, as plain functions.
+before they compared leaf tallies lives here too, as plain functions, and
+so does the recursive walker that first listed truncate's keys.
 """
 
 from cqsym import oracle as oc
@@ -135,3 +136,23 @@ def tpoly_shifted(p, offset):
 
 def tpoly_total(p):
     return sum(p.terms.values())
+
+
+# --- truncation keys ------------------------------------------------------
+
+def reference_embeddings(alpha, N):
+    """The monomial keys of alpha's strictly increasing (level, color)
+    supports in N levels, each sorted as it is yielded."""
+    k = len(alpha)
+
+    def go(t, prev, acc):
+        if t == k:
+            yield tuple(sorted(acc))
+            return
+        size, j = alpha[t]
+        for i in range(1, N + 1):
+            if prev is not None and (i, j) <= prev:
+                continue
+            yield from go(t + 1, (i, j), acc + [((i, j), size)])
+
+    return tuple(go(0, None, []))

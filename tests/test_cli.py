@@ -14,6 +14,7 @@ from cqsym import cli
 from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from cqsym import verify
 from inductive_bound_reference import reference_bound_inductive_antipode
 
 
@@ -693,6 +694,29 @@ def test_verify_refuses_a_truncation_level_below_one_before_the_grid(
     assert code == 3
     assert out == {"error": {"type": "domain",
                              "invariant": "truncation level must be >= 1"}}
+
+
+# the oracle-equivalence grids that passed both choice bounds, though the
+# suite lists and truncates every level up to --max-N for each poset
+@pytest.mark.parametrize("m, max_n, max_N", [
+    (1, 0, 10 ** 6), (1, 1, 2000), (1, 2, 128), (1, 2, 512), (2, 3, 32),
+    (1, 1, 17), (4, 3, 17)])
+def test_oracle_equivalence_refuses_levels_past_the_cap(
+        m, max_n, max_N, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the suite's grid was built")
+
+    monkeypatch.setitem(verify.SUITES, "oracle-equivalence", no_grid)
+    invariant = "--max-N of oracle-equivalence must be <= 16"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^%s$" % invariant):
+        cli._bound_verify_grid("oracle-equivalence", m, max_n, max_N)
+    code, out = _run("verify", "--suite", "oracle-equivalence", "--m",
+                     str(m), "--max-n", str(max_n), "--max-N", str(max_N))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == {"error": {"type": "domain", "invariant": invariant}}
+    assert cli._bound_verify_grid("oracle-equivalence", m, max_n, 16) is None
 
 
 def test_grid_bounds_admit_their_limits():

@@ -11,8 +11,9 @@ from cqsym import oracle as oc
 from cqsym import poset as ps
 from cqsym import qsym as qs
 from oracle_reference import (assert_kernels_match_reference,
-                              reference_ppartitions, tpoly_add, tpoly_mul,
-                              tpoly_shifted, tpoly_total)
+                              reference_embeddings, reference_ppartitions,
+                              tpoly_add, tpoly_mul, tpoly_shifted,
+                              tpoly_total)
 
 
 def _chain(m, letters):
@@ -262,6 +263,18 @@ def test_truncate_counts_embeddings():
             e = qs.QElt.basis_elt(1, "M", alpha)
             for N in (1, 2, 3):
                 assert tpoly_total(oc.truncate(e, N)) == comb(N, len(alpha))
+
+
+def test_truncation_keys_match_the_recursive_walker():
+    # the unmemoized function, so the memo the verify stats read stays as
+    # the other tests leave it
+    embeddings = oc._embeddings.__wrapped__
+    for m in (1, 2, 3):
+        for n in range(6):
+            for alpha in cb.enumerate_compositions(m, n):
+                for N in range(1, 6):
+                    assert embeddings(alpha, N) == reference_embeddings(
+                        alpha, N), (alpha, N)
 
 
 def test_truncate_is_linear():

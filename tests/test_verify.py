@@ -1,7 +1,7 @@
 """The verify runner: sharded runs report exactly what a serial run does.
 
-The process count is forced through run_checks' processes argument, so
-these tests fork children whatever the grid size or the CPU count.
+The process count is forced through verify._processes, so these tests
+fork children whatever the grid size or the CPU count.
 """
 
 import argparse
@@ -29,42 +29,48 @@ def _strip_seconds(reports):
     return [{k: v for k, v in r.items() if k != "seconds"} for r in reports]
 
 
-def _run(specs, processes):
-    reports, stats = verify.run_checks(specs, processes)
+def _force(monkeypatch, processes):
+    monkeypatch.setattr(verify, "_processes", lambda cases: processes)
+
+
+def _run(monkeypatch, specs, processes):
+    _force(monkeypatch, processes)
+    reports, stats = verify.run_checks(specs)
     assert stats["processes"] == processes
     assert multiprocessing.active_children() == []
     return _strip_seconds(reports)
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
-def test_every_suite_reports_the_same_serial_and_sharded(suite):
+def test_every_suite_reports_the_same_serial_and_sharded(suite, monkeypatch):
     for m in (1, 2):
         specs = verify.SUITES[suite](m, 3, 2, 0)
-        assert _run(specs, 2) == _run(specs, 1), (suite, m)
+        assert (_run(monkeypatch, specs, 2)
+                == _run(monkeypatch, specs, 1)), (suite, m)
 
 
 def _spec(test, items=20):
     return ("injected", list(range(items)), test, lambda i: {"item": i})
 
 
-def test_the_earliest_failure_over_all_shards_decides():
+def test_the_earliest_failure_over_all_shards_decides(monkeypatch):
     # 7 is in shard 1 of 2; shard 0 also fails, but later, at 12
     specs = [_spec(lambda i: i not in (7, 12)), _spec(lambda i: True),
              _spec(lambda i: i != 12)]
-    serial = _run(specs, 1)
-    assert serial == _run(specs, 2) == _run(specs, 3)
+    serial = _run(monkeypatch, specs, 1)
+    assert serial == _run(monkeypatch, specs, 2) == _run(monkeypatch, specs, 3)
     assert [(r["ok"], r["checked"], r["counterexample"]) for r in serial] == [
         (False, 8, {"item": 7}), (True, 20, None), (False, 13, {"item": 12})]
 
 
-def test_owner_keys_keep_the_serial_report():
+def test_owner_keys_keep_the_serial_report(monkeypatch):
     # the owner takes the case index, not the item: item i runs in shard
     # (i // 4) % k; the only failure is in shard 1
     spec = ("injected", ["case %d" % i for i in range(20)],
             lambda it: it != "case 5", lambda it: {"item": it},
             lambda i: i // 4)
     assert list(verify._shard(spec, 1, 2)) == [4, 5, 6, 7, 12, 13, 14, 15]
-    assert _run([spec], 2) == _run([spec], 1) == [
+    assert _run(monkeypatch, [spec], 2) == _run(monkeypatch, [spec], 1) == [
         {"name": "injected", "ok": False, "checked": 6,
          "counterexample": {"item": "case 5"}}]
 
@@ -116,8 +122,8 @@ def _with_wrong_truncation(monkeypatch, m, max_n, max_N):
 def test_a_wrong_level_gives_the_serial_report_in_shards(monkeypatch):
     specs, (P, N) = _with_wrong_truncation(monkeypatch, 2, 3, 3)
     assert N < 3
-    serial = _run(specs, 1)
-    assert serial == _run(specs, 2)
+    serial = _run(monkeypatch, specs, 1)
+    assert serial == _run(monkeypatch, specs, 2)
     report = serial[0]
     assert report["name"] == "ppartitions-vs-gamma" and not report["ok"]
     assert report["checked"] == 5 * 3 + 1
@@ -147,30 +153,54 @@ def _raise_at(bad):
     return test
 
 
-def test_an_exception_in_a_child_is_raised_again_here():
+def test_an_exception_in_a_child_is_raised_again_here(monkeypatch):
     for processes in (1, 2):
+        _force(monkeypatch, processes)
         with pytest.raises(ZeroDivisionError, match="^no inverse at 7$"):
-            verify.run_checks([_spec(_raise_at(7))], processes)
+            verify.run_checks([_spec(_raise_at(7))])
         assert multiprocessing.active_children() == []
 
 
-def test_a_failure_before_the_exception_is_reported_instead():
+def test_a_failure_before_the_exception_is_reported_instead(monkeypatch):
     def test(i):
         return _raise_at(9)(i) and i != 4
-    assert _run([_spec(test)], 2) == _run([_spec(test)], 1)
+    assert (_run(monkeypatch, [_spec(test)], 2)
+            == _run(monkeypatch, [_spec(test)], 1))
 
 
-def test_an_exception_met_only_in_a_child_still_fails_the_run():
+def test_an_exception_met_only_in_a_child_still_fails_the_run(monkeypatch):
     parent = os.getpid()
 
     def test(i):
         return _raise_at(7)(i) if os.getpid() != parent else True
+    _force(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="ZeroDivisionError: no inverse"):
-        verify.run_checks([_spec(test)], 2)
+        verify.run_checks([_spec(test)])
     assert multiprocessing.active_children() == []
 
 
-def test_an_interrupt_here_stops_the_children_at_once():
+def test_an_exception_on_the_first_call_only_fails_the_run(monkeypatch):
+    # item 6 is in shard 0 of 2, run here first at k = 1 and at k = 2; the
+    # case passes when run again, and the run fails the same way at both
+    messages = []
+    for processes in (1, 2):
+        met = set()
+
+        def test(i):
+            if i == 6 and i not in met:
+                met.add(i)
+                raise ZeroDivisionError("no inverse at %d" % i)
+            return True
+        _force(monkeypatch, processes)
+        with pytest.raises(RuntimeError) as info:
+            verify.run_checks([_spec(test)])
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["check injected raised ZeroDivisionError: no "
+                        "inverse at 6, then passed when run again"] * 2
+
+
+def test_an_interrupt_here_stops_the_children_at_once(monkeypatch):
     parent = os.getpid()
 
     def test(i):
@@ -178,21 +208,23 @@ def test_an_interrupt_here_stops_the_children_at_once():
             raise KeyboardInterrupt
         time.sleep(5)
         return True
+    _force(monkeypatch, 3)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        verify.run_checks([_spec(test)], 3)
+        verify.run_checks([_spec(test)])
     assert multiprocessing.active_children() == []
     assert time.perf_counter() - t0 < 4
 
 
-def test_a_check_takes_the_time_of_its_slowest_shard():
+def test_a_check_takes_the_time_of_its_slowest_shard(monkeypatch):
     parent = os.getpid()
 
     def test(i):
         if os.getpid() != parent:
             time.sleep(0.05)
         return True
-    reports, _ = verify.run_checks([_spec(test, items=8)], 2)
+    _force(monkeypatch, 2)
+    reports, _ = verify.run_checks([_spec(test, items=8)])
     assert reports[0]["seconds"] >= 0.2
 
 
@@ -210,7 +242,7 @@ def test_a_process_with_other_threads_runs_serially():
 
 
 def _cli(monkeypatch, processes, *argv):
-    monkeypatch.setattr(verify, "_processes", lambda cases: processes)
+    _force(monkeypatch, processes)
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.main(list(argv))
@@ -258,16 +290,18 @@ def test_stats_show_the_extension_memos_grown_in_children(monkeypatch):
         assert 0 < own < summed["currsize"], fn.__name__
 
 
-def test_stats_add_the_memo_filling_of_every_child():
+def test_stats_add_the_memo_filling_of_every_child(monkeypatch):
     grid = [P for n in range(3) for P in ps.canonical_posets(2, n)]
     spec = ("products", [(A, B) for A in grid for B in grid],
             lambda pr: ps.product_key(*pr).n == pr[0].n + pr[1].n,
             lambda pr: None)
     ps._union.cache_clear()
-    verify.run_checks([spec], 1)
+    _force(monkeypatch, 1)
+    verify.run_checks([spec])
     serial = ps._union.cache_info().misses
     ps._union.cache_clear()
-    _, stats = verify.run_checks([spec], 2)
+    _force(monkeypatch, 2)
+    _, stats = verify.run_checks([spec])
     grown = stats["caches"]
     own = ps._union.cache_info()
     assert 0 < grown["poset._union", "misses"] and 0 < own.misses < serial
