@@ -52,9 +52,13 @@ MAX_COUNT_M_PLUS_N = 7    # poset count colors each structure m^n ways
 MAX_REFINE_WEIGHT = 16    # a one-part weight-w comp has 2^(w-1) refinements
 MAX_ENUM_LEVEL = 1 << 16  # comp enumerate lists m(m+1)^(n-1) comps at level n
 MAX_ORACLE_CHOICES = 1 << 20  # (2N)^n signed levels for n elements
-MAX_ORACLE_GRID = 1 << 28     # (2N)^n summed over a verify grid's posets
+MAX_ORACLE_GRID = 1 << 26     # (2N)^n summed over a verify grid's posets
 MAX_ORACLE_LEVELS = 16        # oracle-equivalence lists and truncates every
                               # level N' <= --max-N for each poset
+# len(canonical_posets(m, n)) by m, then n <= 7 - m, read without building
+CANONICAL_COUNTS = (
+    (1, 1, 3, 15, 124, 1620, 32609), (1, 2, 11, 108, 1795, 47730),
+    (1, 3, 24, 352, 8802), (1, 4, 42, 820), (1, 5, 65), (1, 6), (1,))
 MAX_EXPANSION = 1 << 16   # terms of an M or F rewrite, words of perm shuffle,
                           # chain pairs of qsym product, M antipode
                           # coarsenings, representative chain letters and
@@ -580,7 +584,7 @@ def _bound_verify_grid(suite, m, max_n, max_N):
     compositions for dimension-counts, canonical posets for every other
     suite, and for oracle-equivalence the oracle's (2N)^n choices, on a
     poset of max_n elements and then summed over the grid's canonical
-    posets, which the suite reuses, and last its levels N."""
+    posets, counted without building them, and last its levels N."""
     if suite == "dimension-counts":
         _bound_levels(m, max_n)
     else:
@@ -588,9 +592,9 @@ def _bound_verify_grid(suite, m, max_n, max_N):
     if suite == "oracle-equivalence":
         _positive(max_N, "truncation level")
         _bound_oracle_choices(max_N, [max_n])
-        _at_most(sum((2 * max_N) ** n * len(ps.canonical_posets(m, n))
-                     for n in range(max_n + 1)), MAX_ORACLE_GRID,
-                 "oracle choices (2N)^n over the grid")
+        counts = CANONICAL_COUNTS[m - 1][:max_n + 1]
+        _at_most(sum((2 * max_N) ** n * c for n, c in enumerate(counts)),
+                 MAX_ORACLE_GRID, "oracle choices (2N)^n over the grid")
         _at_most(max_N, MAX_ORACLE_LEVELS, "--max-N of oracle-equivalence")
 
 
@@ -698,7 +702,12 @@ def _build_parser():
 
 
 def _emit(obj):
-    print(json.dumps(obj), flush=True)
+    try:
+        text = json.dumps(obj)
+    except ValueError:   # str() refuses an int past the interpreter's limit
+        raise ValueError("result integers must have at most %d digits"
+                         % sys.get_int_max_str_digits()) from None
+    print(text, flush=True)
 
 
 def main(argv=None):
@@ -721,8 +730,7 @@ def _answer(argv):
         code = 0
         if isinstance(out, tuple):
             out, code = out
-        # in the try: json.dumps refuses an int of more than 4300 digits
-        _emit(out)
+        _emit(out)   # in the try: it refuses too-long result integers
         return code
     except ParseFailure as exc:
         _emit({"error": {"type": "parse", "detail": str(exc)}})

@@ -1,8 +1,11 @@
 """End-to-end acceptance runs, one per shipping criterion.
 
-Each test prints a single line naming the criterion, its outcome, and
-its wall time (visible under pytest -s); criteria that carry a time
-budget assert it after the work is done.
+Each test prints a single line naming the criterion, its outcome, its
+wall time and the time of a fixed pure-Python reference loop run just
+before it (visible under pytest -s); criteria that carry a time budget
+assert it after the work is done.  The reference loop tells a slow host
+from a slow criterion: the budgets are raw seconds, and a shared
+host's speed can drift by about 2x between runs.
 """
 
 import time
@@ -14,18 +17,28 @@ from cqsym import poset as ps
 from cqsym import qsym as qs
 
 
+def _reference_seconds():
+    """Seconds of a fixed pure-Python loop of 10^6 integer steps."""
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(1000000):
+        total += i * i % 7
+    return time.perf_counter() - t0
+
+
 def _criterion(label, fn, budget=None):
+    ref = "reference loop %.3fs" % _reference_seconds()
     t0 = time.perf_counter()
     try:
         fn()
     except BaseException:
-        print("%s FAIL (%.2fs)" % (label, time.perf_counter() - t0))
+        print("%s FAIL (%.2fs; %s)" % (label, time.perf_counter() - t0, ref))
         raise
     dt = time.perf_counter() - t0
     if budget is not None and dt >= budget:
-        print("%s FAIL (%.2fs over %ds budget)" % (label, dt, budget))
+        print("%s FAIL (%.2fs over %ds budget; %s)" % (label, dt, budget, ref))
         raise AssertionError("%s took %.2fs, budget %ds" % (label, dt, budget))
-    print("%s PASS (%.2fs)" % (label, dt))
+    print("%s PASS (%.2fs; %s)" % (label, dt, ref))
 
 
 def _run_suites(names, m_values, max_n=None, max_N=2):

@@ -599,11 +599,11 @@ def _shuffle_pair(a, b):
      "--max-n must be <= 4"),
     (("verify", "--suite", "oracle-equivalence", "--m", "1", "--max-n", "4",
       "--max-N", "20"), "oracle choices (2N)^n must be <= 1048576"),
-    # 14^4 = 38,416 choices pass on one poset of 4 elements, but summed
-    # over the grid's canonical posets they come to 339,108,267
+    # 10^4 = 10,000 choices pass on one poset of 4 elements, but summed
+    # over the grid's canonical posets they come to 88,374,431
     (("verify", "--suite", "oracle-equivalence", "--m", "3", "--max-n", "4",
-      "--max-N", "7"),
-     "oracle choices (2N)^n over the grid must be <= 268435456"),
+      "--max-N", "5"),
+     "oracle choices (2N)^n over the grid must be <= 67108864"),
     (("poset", "count", "--m", "600"), "m must be <= 7"),
     (("verify", "--suite", "hopf-axioms", "--m", "9"), "m must be <= 7"),
 ], ids=["count-max-n", "refinements", "coarsenings", "poset-size",
@@ -675,7 +675,11 @@ def test_unbounded_grids_are_refused_at_once():
                  ("verify", "--suite", "hopf-axioms", "--m", "1",
                   "--max-n", "8"),
                  ("verify", "--suite", "oracle-equivalence", "--m", "3",
-                  "--max-n", "4", "--max-N", "7")):
+                  "--max-n", "4", "--max-N", "7"),
+                 ("verify", "--suite", "oracle-equivalence", "--m", "3",
+                  "--max-n", "4", "--max-N", "5"),
+                 ("verify", "--suite", "oracle-equivalence", "--m", "1",
+                  "--max-n", "6", "--max-N", "2")):
         start = time.perf_counter()
         code, out = _run(*argv)
         assert time.perf_counter() - start < 1.0, argv
@@ -719,6 +723,14 @@ def test_oracle_equivalence_refuses_levels_past_the_cap(
     assert cli._bound_verify_grid("oracle-equivalence", m, max_n, 16) is None
 
 
+def test_the_canonical_counts_are_the_sizes_of_the_grids():
+    limit = cli.MAX_COUNT_M_PLUS_N
+    assert len(cli.CANONICAL_COUNTS) == limit
+    for m, counts in enumerate(cli.CANONICAL_COUNTS, 1):
+        assert list(counts) == [len(ps.canonical_posets(m, n))
+                                for n in range(limit - m + 1)], m
+
+
 def test_grid_bounds_admit_their_limits():
     # 10^1000 >= 3 * 4^1660, the last dims row, which prints in full
     code, out = _run("dims", "--m", "3", "--max-n", "1661")
@@ -734,8 +746,11 @@ def test_grid_bounds_admit_their_limits():
     code, out = _run("verify", "--suite", "oracle-equivalence", "--m", "1",
                      "--max-n", "4", "--max-N", "8")
     assert code == 0 and out["ok"] is True
-    # 183,130,021 choices over the grid, admitted without running the suite
-    assert cli._bound_verify_grid("oracle-equivalence", 3, 4, 6) is None
+    # 36,234,777 choices over the grid, admitted without running the
+    # suite, and 88,374,431 refused
+    assert cli._bound_verify_grid("oracle-equivalence", 3, 4, 4) is None
+    with pytest.raises(ValueError, match="over the grid must be <= 67108864"):
+        cli._bound_verify_grid("oracle-equivalence", 3, 4, 5)
 
 
 def _ones(k):
@@ -769,7 +784,8 @@ def _alternating(k):
     (("qsym", "product", "--in", _payload(
         {"first": json.loads(_m_one(int("9" * 3000))),
          "second": json.loads(_m_one(int("9" * 3000)))})),
-     3, "Exceeds the limit (4300 digits) for integer string conversion"),
+     3, "result integers must have at most %d digits"
+     % sys.get_int_max_str_digits()),
     (("qsym", "antipode", "--in", _payload(_qsym_elt(1, "M", (1, _ones(22))))),
      3, _COARSENINGS),
     (("qsym", "antipode", "--in", _payload(_qsym_elt(1, "M", (1, _ones(30))))),

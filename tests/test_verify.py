@@ -8,6 +8,7 @@ import argparse
 import io
 import json
 import multiprocessing
+import operator
 import os
 import threading
 import time
@@ -16,6 +17,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from cqsym import cli
+from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
 from cqsym import verify
@@ -348,7 +350,8 @@ def test_the_poset_checks_agree_with_the_reference():
     for m in (1, 2):
         grid = verify._poset_grid(m, 4)
         for P in grid:
-            assert verify._poset_coassoc_ok(P) == reference_coassoc_ok(P), P
+            assert (verify._coassoc_ok(P, ps.Poset.splits)
+                    == reference_coassoc_ok(P)), P
             assert verify._poset_antipode_ok(P) == reference_antipode_ok(P), P
         for pr in verify._SizePairs(grid, 4, lambda P: P.n):
             assert (verify._poset_bialgebra_ok(pr)
@@ -387,9 +390,53 @@ def test_the_coassociativity_check_fails_on_wrong_memoized_splits(piece):
     # in the chain 0 < 1 < 1, (0, 1) is only an ideal and (1, 1) only a
     # complement, so each side of the check meets the wrong splits
     P, Q = _chain((0, 1, 1)).canonical, _chain(piece).canonical
-    assert verify._poset_coassoc_ok(P)
-    assert not _with_wrong_splits(Q, verify._poset_coassoc_ok, P)
-    assert verify._poset_coassoc_ok(P)
+    check = lambda X: verify._coassoc_ok(X, ps.Poset.splits)
+    assert check(P)
+    assert not _with_wrong_splits(Q, check, P)
+    assert check(P)
+
+
+def test_the_counit_check_fails_on_wrong_memoized_splits():
+    # the chain's first split (empty, whole) becomes its last (whole, empty)
+    P = _chain((0, 1, 1)).canonical
+    check = lambda X: verify._counit_ok(X, ps.Poset.splits,
+                                        operator.attrgetter("n"))
+    assert check(P)
+    assert not _with_wrong_splits(P, check, P)
+    assert check(P)
+
+
+def _named_reports(suite, names, m, max_n):
+    """The reports of a suite's checks named in names, on a fresh build."""
+    specs = [spec for spec in verify.SUITES[suite](m, max_n, 2, 0)
+             if spec[0] in names]
+    return _strip_seconds(verify.run_checks(specs)[0])
+
+
+def test_the_qsym_counit_and_coassociativity_fail_on_a_lost_last_cut(
+        monkeypatch):
+    names = ("qsym-counit", "qsym-coassociativity")
+    cuts = qs.deconcats
+    monkeypatch.setattr(qs, "deconcats", lambda alpha: cuts(alpha)[:-1])
+    reports = _named_reports("hopf-axioms", names, 2, 3)
+    assert [r["name"] for r in reports] == list(names)
+    assert not any(r["ok"] for r in reports)
+    assert all(r["counterexample"] is not None for r in reports)
+    monkeypatch.undo()
+    assert all(r["ok"] for r in _named_reports("hopf-axioms", names, 2, 3))
+
+
+def test_the_nu_counts_fail_when_every_extension_is_peak_free(monkeypatch):
+    # a negative control: with no peak seen, the counts take extensions
+    # that nu does not count
+    names = ("nu-single-color-counting", "nu-full-counting")
+    monkeypatch.setattr(cb, "peak_set", lambda pi: ())
+    reports = _named_reports("nu-counting", names, 2, 4)
+    assert [r["name"] for r in reports] == list(names)
+    assert not any(r["ok"] for r in reports)
+    assert all(r["counterexample"] is not None for r in reports)
+    monkeypatch.undo()
+    assert all(r["ok"] for r in _named_reports("nu-counting", names, 2, 4))
 
 
 def test_the_bialgebra_check_fails_on_wrong_memoized_splits_of_a_product():
