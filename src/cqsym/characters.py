@@ -108,7 +108,7 @@ def convolve(phi, psi, name=None):
     return Character(dom, fn, name or "(%s)*(%s)" % (phi.name, psi.name))
 
 
-def inverse(phi, name=None):
+def inverse(phi):
     """Convolution inverse, computed through the antipode."""
     dom = phi.domain
 
@@ -120,10 +120,10 @@ def inverse(phi, name=None):
                 total += c * v
         return total
 
-    return Character(dom, fn, name or "inv(%s)" % phi.name)
+    return Character(dom, fn, "inv(%s)" % phi.name)
 
 
-def bar(phi, name=None):
+def bar(phi):
     """Twist by parity of the degree."""
     dom = phi.domain
 
@@ -131,7 +131,7 @@ def bar(phi, name=None):
         v = phi.of_key(key)
         return -v if dom.degree(key) % 2 else v
 
-    return Character(dom, fn, name or "bar(%s)" % phi.name)
+    return Character(dom, fn, "bar(%s)" % phi.name)
 
 
 def nu(phi, name=None):

@@ -293,23 +293,15 @@ def shuffles(sigma, tau):
 
 
 def enumerate_compositions(m, n):
-    """All alpha |=_m n.  Cardinality m(m+1)^(n-1) for n >= 1."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for size in range(1, remaining + 1):
-            for color in range(m):
-                acc.append((size, color))
-                rec(remaining - size, acc)
-                acc.pop()
-
-    rec(n, [])
-    return out
+    """All alpha |=_m n, m(m+1)^(n-1) for n >= 1, in increasing order."""
+    if n < 0:
+        return []
+    by_weight = [[()]]
+    for w in range(1, n + 1):
+        by_weight.append([((size, color),) + rest
+                          for size in range(1, w + 1) for color in range(m)
+                          for rest in by_weight[w - size]])
+    return by_weight[n]
 
 
 def peak_compositions(m, n):

@@ -129,6 +129,7 @@ def _ppartition_tally(m, colors, below, todo, N):
     slots = [0] * n
     tally = {}
 
+    # depth first: layers would hold all the leaves, up to 2^20, at once
     def place(t):
         if t == n:
             key = tuple(sorted(slots))
@@ -172,6 +173,7 @@ def enumerate_enriched(P, N):
               for s in range(1, N + 1) for sg in (0, 1)] for b in topo]
     tally = {}
 
+    # depth first, as in _ppartition_tally: each leaf is tallied on arrival
     def place(t):
         if t == n:
             key = tuple(sorted(slots))

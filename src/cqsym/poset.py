@@ -158,40 +158,24 @@ def _split_plan(above):
 
 @cache
 def extension_table(above):
-    """The linear extensions of an order structure, depth first with the
-    least available index first: per extension, a _picker of its index
-    order and the bitmask of its ascents (bit t set when the index at
-    position t is below the one at t + 1, so the values rise there).
+    """The linear extensions of an order structure, in lexicographic order
+    of their index orders: per extension, a _picker of its index order and
+    the bitmask of its ascents (bit t set when the index at position t is
+    below the one at t + 1, so the values rise there).
 
-    An antichain on n elements has n! extensions; the table holds one
-    entry per extension for the life of the process."""
+    The orders grow one position per layer, by each element left with
+    nothing left below it, so the build holds two layers at once.  An
+    antichain on n elements has n! extensions; the table holds one entry
+    per extension for the life of the process."""
     n, below = len(above), _invert(above)
-    if n == 0:
-        return ((_picker(()), 0),)
-
-    def ready(free):
-        # the elements left with nothing left below them, least first
-        return iter([i for i in _bits(free) if not below[i] & free])
-
-    out, acc = [], [None] * n
-    # one frame per position being filled, in place of a recursion: the
-    # elements left before it, the ascents so far and its untried choices
-    frames = [((1 << n) - 1, 0, ready((1 << n) - 1))]
-    while frames:
-        free, ascents, choices = frames[-1]
-        t = len(frames) - 1
-        for i in choices:
-            acc[t] = i
-            rise = 1 << (t - 1) if t and acc[t - 1] < i else 0
-            if t + 1 == n:
-                out.append((_picker(acc), ascents | rise))
-            else:
-                rest = free ^ 1 << i
-                frames.append((rest, ascents | rise, ready(rest)))
-                break
-        else:
-            frames.pop()
-    return tuple(out)
+    # per partial order: its indices, the elements left and its ascents
+    layer = [((), (1 << n) - 1, 0)]
+    for t in range(n):
+        layer = [(order + (i,), free ^ 1 << i,
+                  ascents | 1 << (t - 1) if t and order[-1] < i else ascents)
+                 for order, free, ascents in layer
+                 for i in _bits(free) if not below[i] & free]
+    return tuple((_picker(order), ascents) for order, _, ascents in layer)
 
 
 class Poset:
@@ -725,6 +709,8 @@ def antipode_chains_key(P):
                    if J != cur and J & cur == cur] for cur in ideals}
     acc = {}
 
+    # depth first: layers would hold all 545,835 chains of the 8-antichain,
+    # and grouping them by end ideal is the inductive recursion it checks
     def rec(cur, prod, k):
         for J, piece in steps[cur]:
             newprod = piece if prod is None else product_key(prod, piece)

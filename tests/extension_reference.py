@@ -5,7 +5,7 @@ and its descent or peak composition is computed on it.  The library reads
 the same extensions off a per-structure table and looks the statistic up
 per (colors, ascent mask) pattern; it must give the same terms, first
 visited in the same order.  The table itself is kept as the recursion
-first wrote it, which the library walks with an explicit stack.
+first wrote it, which the library builds one position per layer.
 """
 
 from cqsym import combinat as cb

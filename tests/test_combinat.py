@@ -32,6 +32,23 @@ def test_enumeration_is_valid_and_distinct():
                 assert cb.weight(alpha) == n
 
 
+def test_negative_weights_have_no_compositions():
+    for m in (1, 2, 3):
+        for n in (-1, -2, -5):
+            assert cb.enumerate_compositions(m, n) == []
+            assert cb.peak_compositions(m, n) == []
+
+
+def test_compositions_come_in_increasing_order():
+    # within one weight no composition is a prefix of another, so this is
+    # the order of a depth-first walk by part size, then color
+    for m in (1, 2, 3):
+        for n in range(7):
+            for found in (cb.enumerate_compositions(m, n),
+                          cb.peak_compositions(m, n)):
+                assert found == sorted(found)
+
+
 def test_check_comp_rejects():
     for alpha, m in [(((0, 0),), 1), (((-2, 0),), 1), (((1, 1),), 1),
                      (((1, 2),), 2), (((2, -1),), 3)]:

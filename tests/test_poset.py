@@ -4,6 +4,7 @@ import copy
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -232,6 +233,31 @@ def test_linear_extension_counts():
 def test_extension_tables_match_the_recursion(n):
     idxs = tuple(range(n))
     for above in ps.labeled_orders(n):
+        got = [(pick(idxs), ascents)
+               for pick, ascents in ps.extension_table(above)]
+        assert got == reference_extension_table(above), above
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_extension_tables_come_in_lexicographic_order(n):
+    idxs = tuple(range(n))
+    for above in ps.labeled_orders(n):
+        orders = [pick(idxs) for pick, _ in ps.extension_table(above)]
+        assert orders == sorted(orders), above
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_sampled_extension_tables_match_the_recursion(n):
+    # the CLI's sizes, past the exhaustive grid: 40 seeded orders each,
+    # every pair along a random topological order related with a random
+    # probability below 1/2
+    rng = random.Random(n)
+    idxs = tuple(range(n))
+    for _ in range(40):
+        topo, p = rng.sample(range(1, n + 1), n), rng.random() / 2
+        covers = [(topo[a], topo[b]) for a in range(n)
+                  for b in range(a + 1, n) if rng.random() < p]
+        above = _poset(1, range(1, n + 1), covers).above
         got = [(pick(idxs), ascents)
                for pick, ascents in ps.extension_table(above)]
         assert got == reference_extension_table(above), above
