@@ -253,4 +253,5 @@ def universal_morphism(elt, chars):
     out = {}
     for key, c in dom.to_terms(elt).items():
         iadd_scaled(out, psi(key), c)
+    psi = None   # else the closure's cell keeps it, and memo, in a cycle
     return qs.QElt(m, "M", out)

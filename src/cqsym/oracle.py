@@ -149,6 +149,7 @@ def _ppartition_tally(m, colors, below, todo, N):
             slot += m
 
     place(0)
+    place = None   # else the closure's cell holds it and the tally in a cycle
     return tally
 
 
@@ -193,6 +194,7 @@ def enumerate_enriched(P, N):
             place(t + 1)
 
     place(0)
+    place = None   # as in _ppartition_tally: no cycle left for the collector
     return TPoly(N, m, _tally_terms(tally, m))
 
 

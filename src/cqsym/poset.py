@@ -720,6 +720,7 @@ def antipode_chains_key(P):
                 rec(J, newprod, k + 1)
 
     rec(0, None, 0)
+    rec = None   # else the closure's cell keeps it, and steps, in a cycle
     return acc
 
 

@@ -23,11 +23,11 @@ descent or peak composition is memoized per such pattern.
 
 The F/K product of two keys, the M quasi-shuffle of two keys, the F/K
 cuts of one key, the refinements of one key, the M expansion of one K
-key, the peak test of one K key, the inductive antipode of one M key,
-Γ and Λ of one canonical poset and the statistic of one (colors, ascent
-mask) pattern are memoized.  The cached maps and tuples are shared, so
-callers only read them and never mutate them; the public k_to_m_key
-hands out a copy.
+key, the peak test of one K key, the hat of one F key, the inductive
+antipode of one M key, Γ and Λ of one canonical poset and the statistic
+of one (colors, ascent mask) pattern are memoized.  The cached maps and
+tuples are shared, so callers only read them and never mutate them; the
+public k_to_m_key hands out a copy.
 
 The constructor cleans the term maps it is given (tuple keys, zeros
 dropped, K keys checked).  The maps that build their results here
@@ -298,13 +298,18 @@ def coproduct(e):
     peak) compositions.
     """
     out = {}
+    get = out.get
     for alpha, c in e.terms.items():
         if e.basis == "M":
             cuts = deconcats(alpha)
         else:
             cuts = _cut_keys(alpha, e.basis)
         for pair in cuts:
-            iadd(out, pair, c)
+            new = get(pair, 0) + c
+            if new:
+                out[pair] = new
+            else:
+                del out[pair]
     return out
 
 
@@ -403,8 +408,14 @@ def peak_projection(e):
         raise ValueError("peak_projection expects an F-basis element")
     out = {}
     for alpha, c in e.terms.items():
-        iadd(out, cb.hat(alpha), c)
+        iadd(out, _hat(alpha), c)
     return _built(e.m, "K", out)
+
+
+@cache
+def _hat(alpha):
+    """cb.hat(alpha), memoized per key."""
+    return cb.hat(alpha)
 
 
 @cache

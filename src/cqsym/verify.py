@@ -12,7 +12,10 @@ seconds.  A check that covered no cases does not pass.
 Cases are independent, so once a suite has SHARD_FLOOR cases run_checks
 splits each check's items into k shards, one per available CPU up to
 MAX_PROCESSES.  Item i goes to shard i mod k, or, when a spec carries a
-fifth element owner(index), to shard owner(i) mod k.  The calling
+fifth element owner(index), to shard owner(i) mod k.  A pair grid
+(_SizePairs) carries no owner or its own owner method, and a shard
+walks its pairs block by block (_SizePairs.walk), with no search and no
+owner call per pair; other items are read by index.  The calling
 process runs shard 0 and forked children run the others, on a
 copy-on-write copy of the grids and memos.  Every shard stops a check at
 its first failure, and the earliest one over all shards decides the
@@ -30,6 +33,7 @@ import types
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 
 from . import characters as ch
 from . import combinat as cb
@@ -75,9 +79,13 @@ def _run_shard(specs, shard, k):
         items, test = spec[1], spec[2]
         t0 = time.perf_counter()
         bad = exc = None
-        for i in _shard(spec, shard, k):
+        if isinstance(items, _SizePairs):
+            cases = items.walk(shard, k, len(spec) == 5)
+        else:
+            cases = ((i, items[i]) for i in _shard(spec, shard, k))
+        for i, item in cases:
             try:
-                ok = test(items[i])
+                ok = test(item)
             except Exception as e:
                 bad, exc = i, "%s: %s" % (type(e).__name__, e)
                 break
@@ -233,7 +241,7 @@ class _SizePairs:
             for j, b0, nb in runs:
                 if i + j <= max_total:
                     self._starts.append(total)
-                    self._blocks.append((a0, b0, nb))
+                    self._blocks.append((a0, na, b0, nb))
                     total += na * nb
         self._len = total
 
@@ -243,7 +251,7 @@ class _SizePairs:
     def positions(self, k):
         """Grid positions of the two factors of pair k, 0 <= k < len."""
         b = bisect_right(self._starts, k) - 1
-        a0, b0, nb = self._blocks[b]
+        a0, _, b0, nb = self._blocks[b]
         q, r = divmod(k - self._starts[b], nb)
         return a0 + q, b0 + r
 
@@ -255,6 +263,9 @@ class _SizePairs:
         a, b = self.positions(k)
         return self.grid[a], self.grid[b]
 
+    def __iter__(self):
+        return (pair for _, pair in self.walk(0, 1))
+
     def owner(self, k):
         """Shard owner of pair k: its larger factor's grid position.
 
@@ -263,6 +274,30 @@ class _SizePairs:
         """
         a, b = self.positions(k)
         return a if a > b else b
+
+    def walk(self, shard, k, owned=False):
+        """(index, pair) of every pair in shard of k, by increasing index:
+        pair i is in shard i mod k, or, if owned, owner(i) mod k.
+
+        Each row of a block, one factor A against a run of B positions,
+        is cut into ranges of B positions, so no pair costs a search.
+        Under the owner rule the B at or below A's position go with A's
+        shard, and each B above it with its own.
+        """
+        grid = self.grid
+        for start, (a0, na, b0, nb) in zip(self._starts, self._blocks):
+            b1 = b0 + nb
+            for a in range(a0, a0 + na):
+                i0 = start + (a - a0) * nb - b0   # pair (a, b) is i0 + b
+                if owned:
+                    mid = min(max(a + 1, b0), b1)
+                    bs = chain(range(b0, mid) if a % k == shard else (),
+                               range(mid + (shard - mid) % k, b1, k))
+                else:
+                    bs = range(b0 + (shard - i0 - b0) % k, b1, k)
+                A = grid[a]
+                for b in bs:
+                    yield i0 + b, (A, grid[b])
 
 
 def _pair_json(as_json):

@@ -9,6 +9,7 @@ import pytest
 from cqsym import combinat as cb
 from cqsym import poset as ps
 from cqsym import qsym as qs
+from cqsym.terms import iadd_scaled
 from extension_reference import (assert_gfs_match_reference,
                                  reference_extensions)
 
@@ -280,6 +281,14 @@ def test_memoized_cuts_survive_callers_mutating_results():
     assert qs.coproduct(e) == want
 
 
+def test_a_coproduct_drops_the_cuts_that_cancel():
+    # F_(2) and F_(1,1) both cut into F_(1) (x) F_(1)
+    e = _basis(1, "F", ((2, 0),)) - _basis(1, "F", ((1, 0), (1, 0)))
+    assert qs.coproduct(e) == {
+        ((), ((2, 0),)): 1, (((2, 0),), ()): 1,
+        ((), ((1, 0), (1, 0))): -1, (((1, 0), (1, 0)), ()): -1}
+
+
 def test_counit():
     assert qs.counit(qs.QElt.one(2)) == 1
     assert qs.counit(_M(2, ((1, 1),))) == 0
@@ -531,6 +540,19 @@ def test_the_public_constructor_still_cleans():
     assert e.terms == {((1, 1),): 3}
     with pytest.raises(ValueError, match="peak"):
         qs.QElt(1, "K", {((1, 0), (2, 0)): 1})
+
+
+def test_scaled_sums_drop_cancelled_keys_and_mix_coefficients():
+    terms = {"a": 1, "b": Fraction(1, 2)}
+    iadd_scaled(terms, {"a": 2, "b": 1, "c": 3}, Fraction(-1, 2))
+    assert terms == {"c": Fraction(-3, 2)}
+    iadd_scaled(terms, {"c": 1, "d": 0}, 0)
+    assert terms == {"c": Fraction(-3, 2)}
+    iadd_scaled(terms, {"c": 1, "d": 0, "e": 2}, 3)
+    assert terms == {"c": Fraction(3, 2), "e": 6}
+    assert type(terms["e"]) is int
+    iadd_scaled(terms, {"c": Fraction(1, 2), "e": -3}, 2)
+    assert terms == {"c": Fraction(5, 2)}
 
 
 def test_peak_function_helper():

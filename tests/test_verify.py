@@ -92,6 +92,20 @@ def test_pair_grids_match_the_listed_reference(m, max_n):
         pairs[len(want)]
 
 
+@pytest.mark.parametrize("suite, check, m, max_n", [
+    ("hopf-axioms", "poset-bialgebra", 1, 4),
+    ("gamma-morphism", "gamma-algebra", 2, 3)])
+def test_a_shard_walks_the_pairs_of_its_indices(suite, check, m, max_n):
+    # poset-bialgebra shards by owner, gamma-algebra by index mod k
+    spec = next(spec for spec in verify.SUITES[suite](m, max_n, 2, 0)
+                if spec[0] == check)
+    items = spec[1]
+    for k in (1, 2, 3):
+        for j in range(k):
+            assert list(items.walk(j, k, len(spec) == 5)) == [
+                (i, items[i]) for i in verify._shard(spec, j, k)], (k, j)
+
+
 @pytest.mark.parametrize("suite, check", [
     ("hopf-axioms", "poset-bialgebra"), ("hopf-axioms", "qsym-bialgebra")])
 def test_pair_items_take_negative_indices(suite, check):
