@@ -6,8 +6,8 @@ memoized S of the pieces, then tests both convolutions against the
 counit.  The library's checks accumulate inline and compare the two
 proper-split sums in one pass; they must give the same verdict on every
 case.  The pair grid and its shard owners are kept as first written too,
-as a list of pairs and a position dict; the library finds each pair and
-owner by index.
+as a list of pairs and a position dict; the library finds each pair by
+index and walks each shard's pairs block by block.
 """
 
 from cqsym import poset as ps
@@ -73,6 +73,6 @@ def reference_size_pairs(grid, max_total):
 
 
 def reference_by_larger_factor(grid):
-    """Shard owner of a pair of grid posets: the later one's position."""
+    """Shard owner of a pair of grid items: the later one's position."""
     pos = {P: i for i, P in enumerate(grid)}
     return lambda pr: max(pos[pr[0]], pos[pr[1]])

@@ -80,30 +80,44 @@ def test_owner_keys_keep_the_serial_report(monkeypatch):
 @pytest.mark.parametrize("m, max_n", [(1, 5), (2, 5), (3, 4)])
 def test_pair_grids_match_the_listed_reference(m, max_n):
     grid = verify._poset_grid(m, max_n)
-    owner = reference_by_larger_factor(grid)
     for max_total in range(max_n + 1):
         want = reference_size_pairs(grid, max_total)
         pairs = verify._SizePairs(grid, max_total, lambda P: P.n)
         assert len(pairs) == len(want)
         assert list(pairs) == want
-        assert [pairs.owner(k) for k in range(len(pairs))] == [
-            owner(pr) for pr in want]
+        assert [pairs[k] for k in range(len(pairs))] == want
     with pytest.raises(IndexError):
         pairs[len(want)]
 
 
+_PAIR_CHECKS = [("hopf-axioms", "poset-bialgebra"),
+                ("hopf-axioms", "qsym-bialgebra"),
+                ("gamma-morphism", "gamma-algebra"),
+                ("lambda-morphism", "lambda-algebra"),
+                ("theta-morphism", "theta-algebra"),
+                ("oracle-equivalence", "oracle-product-law")]
+
+
 @pytest.mark.parametrize("suite, check, m, max_n", [
-    ("hopf-axioms", "poset-bialgebra", 1, 4),
-    ("gamma-morphism", "gamma-algebra", 2, 3)])
+    (suite, check, m, max_n) for suite, check in _PAIR_CHECKS
+    for m, max_n in ((1, 4), (2, 3))])
 def test_a_shard_walks_the_pairs_of_its_indices(suite, check, m, max_n):
-    # poset-bialgebra shards by owner, gamma-algebra by index mod k
+    # every pair grid shards by its larger factor's grid position
     spec = next(spec for spec in verify.SUITES[suite](m, max_n, 2, 0)
                 if spec[0] == check)
+    assert len(spec) == 4
     items = spec[1]
+    owner = reference_by_larger_factor(items.grid)
     for k in (1, 2, 3):
+        seen = []
         for j in range(k):
-            assert list(items.walk(j, k, len(spec) == 5)) == [
-                (i, items[i]) for i in verify._shard(spec, j, k)], (k, j)
+            walked = list(items.walk(j, k))
+            indices = [i for i, _ in walked]
+            assert indices == sorted(set(indices)), (k, j)
+            assert walked == [(i, items[i]) for i in indices], (k, j)
+            assert all(owner(items[i]) % k == j for i in indices), (k, j)
+            seen.extend(indices)
+        assert sorted(seen) == list(range(len(items))), k
 
 
 @pytest.mark.parametrize("suite, check", [
