@@ -47,7 +47,10 @@ its first placement and its canonical masks, so the automorphism scan
 runs once per distinct side coloring.  The splits are memoized on the
 instance as one flat tuple (I0, R0, I1, R1, ...) of interned posets,
 which splits() pairs up as it iterates.
-Products and antipodes live in process-wide functools caches.
+Products and antipodes live in process-wide functools caches.  The
+empty poset is the unit of the product: a product with it returns the
+other factor's class, so the union memo holds only products of two
+nonempty posets.
 Scale boundary: the canonicalization search is exponential in the worst
 case (antichains); intended for n <= 8, the largest poset the CLI takes.
 """
@@ -563,16 +566,27 @@ def is_monochromatic(P, j):
 # --- the Hopf algebra -----------------------------------------------------
 
 def product_key(A, B):
-    """Canonical form of the disjoint union of two canonical posets."""
-    return _union(A, B)
+    """Canonical form of the disjoint union of two posets.
+
+    The empty poset is the unit: a product with it is the other factor's
+    class, with no entry in the union memo, which holds only products of
+    two nonempty posets."""
+    if A.n and B.n or A.m != B.m:
+        # _union refuses factors of different m, and stores nothing then
+        return _union(A, B)
+    P = A if A.n else B
+    # an interned poset is its own _canon; labeled input needs the property
+    return P._canon or P.canonical
 
 
 @cache
 def _union(A, B):
     # one entry per argument order; the reversed order reuses the other.
+    # The order is decided by the factors' contents, not their addresses,
+    # so the memo's misses repeat from process to process.
     # No relation crosses the factors, so placing all of B above A, its
     # closure masks shifted past A's, gives the class of disjoint_union.
-    if id(A) > id(B):
+    if (A.n, A.colors, A.above) > (B.n, B.colors, B.above):
         return _union(B, A)
     if A.m != B.m:
         raise ValueError("disjoint union requires the same number of colors")
